@@ -17,7 +17,6 @@ over a parameter grid.
 import enum
 from dataclasses import dataclass
 
-from ._parallel import ordered_map
 from .core import (
     DegenerateClampError,
     DirectingParams,
@@ -152,6 +151,17 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     sup-norm increment stays within ``tol``, or immediately at an exact
     fixed point (absorbing vertices included).  Exhausting ``max_steps``
     reports ``converged=False`` rather than raising.
+
+    Many cells of the clamped map lock into an exact periodic orbit (of
+    period 2, 4, 6 or 8 on the reference grids) and never converge.  The
+    step is a pure function of the state, so once the state at step ``k``
+    repeats bit for bit the one ``L`` steps earlier (found with Brent's
+    cycle detection) and each of those ``L`` steps moved by more than
+    ``tol``, the outcome is fixed: only the ``(max_steps - k) % L`` steps
+    needed to read off the final state and increment are taken.  The
+    result is identical to stepping to the end; in particular
+    ``steps_used`` still reports ``max_steps``.  A cycle with a step
+    within ``tol`` keeps the normal loop.
     """
     coordinate = _check_coordinate(coordinate)
     if not tol > 0.0:
@@ -165,16 +175,38 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     rows = build_regression_matrix(params).rows
     state = (init.p0, init.p1, init.p2)
     quiet = 0
+    last_quiet = 0  # last step whose increment was within tol
     delta = float("inf")
+    # Brent: ``saved`` is the state ``lam`` steps back; it jumps forward
+    # whenever ``lam`` reaches ``power``, and ``power`` doubles.
+    saved = state
+    power = lam = 1
     for k in range(1, max_steps + 1):
         nxt = _clamped_step(rows, state)
         delta = max(abs(nxt[0] - state[0]), abs(nxt[1] - state[1]), abs(nxt[2] - state[2]))
         state = nxt
         if delta == 0.0:
             return LimitEstimate(state[coordinate], True, k, delta)
-        quiet = quiet + 1 if delta <= tol else 0
-        if quiet >= window:
-            return LimitEstimate(state[coordinate], True, k, delta)
+        if delta <= tol:
+            quiet += 1
+            if quiet >= window:
+                return LimitEstimate(state[coordinate], True, k, delta)
+            last_quiet = k
+        else:
+            quiet = 0
+        if state == saved:
+            if last_quiet <= k - lam:
+                for _ in range((max_steps - k) % lam):
+                    nxt = _clamped_step(rows, state)
+                    delta = max(abs(nxt[0] - state[0]), abs(nxt[1] - state[1]),
+                                abs(nxt[2] - state[2]))
+                    state = nxt
+                break
+        elif lam == power:
+            saved = state
+            power *= 2
+            lam = 0
+        lam += 1
     return LimitEstimate(state[coordinate], False, max_steps, delta)
 
 
@@ -281,14 +313,14 @@ def _evaluate_cell(cell, coordinate, init, simulate, bound_check, tol, max_steps
 
 
 def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=False, *,
-          bound_check=True, tol=1e-10, max_steps=10000, agreement_tol=1e-6, max_workers=None):
+          bound_check=True, tol=1e-10, max_steps=10000, agreement_tol=1e-6):
     """Classify every parameter triple in ``cells``; one row per cell, in input order.
 
     Cell-level failures become row markers (``no_equilibrium``, ``boundary``,
     ``invalid_params``) instead of aborting the sweep.  With ``simulate``
     the clamped limit is also estimated and compared to the prediction.
-    Output is deterministic for a given grid and initial point, independent
-    of the worker count.
+    Each row depends only on its own cell, so a sub-grid gives the same
+    rows as the matching rows of a larger grid.
     """
     coordinate = _check_coordinate(coordinate)
     if not isinstance(init, SimplexPoint):
@@ -300,9 +332,8 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
             raise InvalidInputError(f"grid cells must be triples, got {cell!r}")
         prepared.append(triple)
 
-    def job(triple):
-        return _evaluate_cell(
-            triple, coordinate, init, simulate, bound_check, tol, max_steps, agreement_tol
-        )
-
-    return ordered_map(job, prepared, max_workers=max_workers)
+    return [
+        _evaluate_cell(triple, coordinate, init, simulate, bound_check, tol, max_steps,
+                       agreement_tol)
+        for triple in prepared
+    ]

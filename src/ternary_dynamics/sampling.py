@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .core import (
     InvalidInputError,
     ModelError,
@@ -85,19 +84,20 @@ def stochastic_step(params, freq, n, rng):
     return SimplexPoint(counts[0] / n, counts[1] / n, counts[2] / n)
 
 
-def run_replications(params, init, cfg, max_workers=None):
+def run_replications(params, init, cfg):
     """Independent stochastic trajectories, one per replication.
 
-    Identical ``(params, init, cfg)`` reproduce bit-identical output, for
-    any worker count.  A failing replication does not abort the others;
-    the first failure is re-raised once all replications have finished.
+    Identical ``(params, init, cfg)`` reproduce bit-identical output, and
+    replication ``r`` depends only on ``(seed, r)``, not on how many
+    replications run.  A failing step is re-raised with its replication
+    and step attached.
     """
     if not isinstance(init, SimplexPoint):
         init = SimplexPoint(init.p0, init.p1, init.p2)
     rows = build_regression_matrix(params).rows
     n = cfg.sample_volume
-
-    def run_one(r):
+    trajectories = []
+    for r in range(cfg.replications):
         rng = replication_stream(cfg.seed, r)
         state = (init.p0, init.p1, init.p2)
         counts = []
@@ -105,23 +105,18 @@ def run_replications(params, init, cfg, max_workers=None):
             try:
                 target = _clamped_step(rows, state)
             except ModelError as exc:
-                return type(exc)(f"replication {r}, step {k + 1}: {exc}")
+                raise type(exc)(f"replication {r}, step {k + 1}: {exc}") from exc
             drawn = rng.multinomial(n, target)
             counts.append((int(drawn[0]), int(drawn[1]), int(drawn[2])))
             state = (drawn[0] / n, drawn[1] / n, drawn[2] / n)
-        return EmpiricalTrajectory(
+        trajectories.append(EmpiricalTrajectory(
             replication=r,
             seed=cfg.seed,
             sample_volume=n,
             init=(init.p0, init.p1, init.p2),
             counts=tuple(counts),
-        )
-
-    results = ordered_map(run_one, range(cfg.replications), max_workers=max_workers)
-    for result in results:
-        if isinstance(result, ModelError):
-            raise result
-    return tuple(results)
+        ))
+    return tuple(trajectories)
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,7 @@ class DeviationRow:
     replications: int
 
 
-def lln_diagnostic(params, init, volumes, cfg, max_workers=None):
+def lln_diagnostic(params, init, volumes, cfg):
     """Deviation table over increasing sample volumes.
 
     For each volume the deviation of a replication is the maximum over all
@@ -153,7 +148,7 @@ def lln_diagnostic(params, init, volumes, cfg, max_workers=None):
 
     rows = []
     for n in volumes:
-        trajs = run_replications(params, init, replace(cfg, sample_volume=n), max_workers=max_workers)
+        trajs = run_replications(params, init, replace(cfg, sample_volume=n))
         deviations = []
         for traj in trajs:
             worst = 0.0

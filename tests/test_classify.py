@@ -310,17 +310,17 @@ def test_sweep_empty_grid():
     assert sweep([], 0, SimplexPoint(0.5, 0.3, 0.2)) == []
 
 
-def test_sweep_deterministic_across_runs_and_workers(monkeypatch):
+def test_sweep_deterministic_across_runs_and_sub_grids():
     cells = grid_cells(
         [round(-0.3 + 0.1 * i, 12) for i in range(7)], [0.2], [0.3]
     )
     init = SimplexPoint(0.5, 0.3, 0.2)
-    base = sweep_to_csv(sweep(cells, 0, init, simulate=True))
-    again = sweep_to_csv(sweep(cells, 0, init, simulate=True))
-    threaded = sweep_to_csv(sweep(cells, 0, init, simulate=True, max_workers=4))
-    monkeypatch.setenv("TERNARY_DYNAMICS_MAX_WORKERS", "3")
-    env_workers = sweep_to_csv(sweep(cells, 0, init, simulate=True))
-    assert base == again == threaded == env_workers
+    base = sweep(cells, 0, init, simulate=True)
+    assert sweep_to_csv(base) == sweep_to_csv(sweep(cells, 0, init, simulate=True))
+    # each row depends only on its own cell: any sub-grid gives the matching rows
+    for sub in (cells[::2], cells[5:], cells[3:4], cells[::-1]):
+        picked = [base[cells.index(cell)] for cell in sub]
+        assert sweep_to_csv(sweep(sub, 0, init, simulate=True)) == sweep_to_csv(picked)
 
 
 def test_grid_cells_order():
