@@ -33,7 +33,6 @@ from .core import (
     ModelError,
     NoEquilibriumError,
     RawState,
-    RegressionMatrix,
     SimplexPoint,
     build_regression_matrix,
     compute_equilibrium,
@@ -70,7 +69,6 @@ __all__ = [
     "ModelError",
     "NoEquilibriumError",
     "RawState",
-    "RegressionMatrix",
     "SampleConfig",
     "Scenario",
     "ScenarioReport",

@@ -70,7 +70,6 @@ class ScenarioReport:
     v_m: float
     predicted_limit: float | None
     contraction_factor: float
-    boundary_flags: frozenset = frozenset()
 
     def resolve_limit(self, initial_value):
         """Predicted limit given the coordinate's initial value."""
@@ -170,9 +169,8 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     window = _count(window, "window")
     if max_steps < 1 or window < 1:
         raise InvalidInputError("max_steps and window must be >= 1")
-    if not isinstance(init, SimplexPoint):
-        init = SimplexPoint(init.p0, init.p1, init.p2)
-    rows = build_regression_matrix(params).rows
+    init = SimplexPoint.of(init)
+    rows = build_regression_matrix(params)
     state = (init.p0, init.p1, init.p2)
     quiet = 0
     last_quiet = 0  # last step whose increment was within tol
@@ -323,8 +321,9 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     rows as the matching rows of a larger grid.
     """
     coordinate = _check_coordinate(coordinate)
-    if not isinstance(init, SimplexPoint):
-        init = SimplexPoint(init.p0, init.p1, init.p2)
+    if not agreement_tol > 0.0:
+        raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
+    init = SimplexPoint.of(init)
     prepared = []
     for cell in cells:
         triple = tuple(float(x) for x in cell)

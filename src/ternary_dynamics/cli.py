@@ -13,6 +13,7 @@ subcommand; flags given on the command line win on conflict.
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 
@@ -285,17 +286,16 @@ def _cmd_simulate(args):
 
 def _cmd_classify(args):
     params = _params_from(args)
-    report = classify(params, args.m)
-    if args.p0 is not None and args.init is not None:
-        raise InvalidInputError("pass --p0 or --init, not both")
-    initial_value = None
+    init = None if args.init is None else SimplexPoint(*args.init)
     if args.p0 is not None:
+        if init is not None:
+            raise InvalidInputError("pass --p0 or --init, not both")
         if args.m != 0:
             raise InvalidInputError("--p0 sets coordinate 0; use --init for other coordinates")
-        initial_value = args.p0
-    elif args.init is not None:
-        initial_value = SimplexPoint(*args.init)
-        initial_value = tuple(initial_value)[args.m]
+        if not 0.0 <= args.p0 <= 1.0:
+            raise InvalidInputError(f"--p0 must lie in [0, 1], got {args.p0!r}")
+    report = classify(params, args.m)
+    initial_value = args.p0 if init is None else tuple(init)[report.coordinate]
     if report.scenario is Scenario.REPULSIVE:
         if initial_value is None:
             predicted = "conditional"
@@ -364,15 +364,21 @@ _COMMANDS = {
 }
 
 
-def _write_output(text, path):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        return
+def _write_file(text, path):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".ternary-dynamics-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would:
+        # an existing file keeps its mode, a new one gets 0666 minus the umask.
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -410,7 +416,14 @@ def main(argv=None):
         return _fail(exc, EXIT_BOUNDARY)
     except ValueError as exc:
         return _fail(exc, EXIT_INVALID_INPUT)
-    _write_output(text, args.output)
+    if args.output in (None, "-"):
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        _write_file(text, args.output)
+    except OSError as exc:
+        return _fail(f"cannot write output {args.output!r}: {exc.strerror or exc}",
+                     EXIT_INVALID_INPUT)
     return EXIT_OK
 
 

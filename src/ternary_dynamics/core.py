@@ -80,97 +80,71 @@ class DirectingParams:
         yield self.v2
 
 
+class _Triple:
+    """Validation and iteration shared by the three-component state types.
+
+    Subclasses are frozen dataclasses with three float fields that must sum
+    to ``_total``.  The balance check scales with the largest component
+    magnitude, so it stays meaningful for diverging raw trajectories.
+    """
+
+    _total = 1.0
+    _noun = "components"
+
+    def __post_init__(self):
+        values = _coerce_floats(self, tuple(vars(self)))
+        self._check_range(values)
+        total = values[0] + values[1] + values[2]
+        tol = BALANCE_TOL * max(1.0, *map(abs, values))
+        if abs(total - self._total) > tol:
+            raise InvalidInputError(f"{self._noun} must sum to {self._total:g}, got sum {total!r}")
+
+    def _check_range(self, values):
+        """Per-type component bounds, checked before the balance."""
+
+    def __iter__(self):
+        return iter(vars(self).values())
+
+    @classmethod
+    def of(cls, state):
+        """``state`` itself if it already is a ``cls``, else a ``cls`` of its components."""
+        return state if isinstance(state, cls) else cls(*state)
+
+
 @dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(_Triple):
     """A probability triple: components in [0, 1] summing to 1."""
 
     p0: float
     p1: float
     p2: float
 
-    def __post_init__(self):
-        values = _coerce_floats(self, ("p0", "p1", "p2"))
+    _noun = "probabilities"
+
+    def _check_range(self, values):
         if any(p < 0.0 or p > 1.0 for p in values):
             raise InvalidInputError(f"probabilities must lie in [0, 1], got {values}")
-        total = self.p0 + self.p1 + self.p2
-        if abs(total - 1.0) > BALANCE_TOL:
-            raise InvalidInputError(f"probabilities must sum to 1, got sum {total!r}")
-
-    def __iter__(self):
-        yield self.p0
-        yield self.p1
-        yield self.p2
 
 
 @dataclass(frozen=True)
-class RawState:
-    """A sum-one triple whose components may leave [0, 1].
-
-    The unclamped linear dynamics conserves only the total, so diverging
-    trajectories produce components of large magnitude; the balance check
-    scales with that magnitude to stay meaningful in double precision.
-    """
+class RawState(_Triple):
+    """A sum-one triple whose components may leave [0, 1]."""
 
     p0: float
     p1: float
     p2: float
 
-    def __post_init__(self):
-        values = _coerce_floats(self, ("p0", "p1", "p2"))
-        total = self.p0 + self.p1 + self.p2
-        tol = BALANCE_TOL * max(1.0, *map(abs, values))
-        if abs(total - 1.0) > tol:
-            raise InvalidInputError(f"components must sum to 1, got sum {total!r}")
-
-    def __iter__(self):
-        yield self.p0
-        yield self.p1
-        yield self.p2
-
 
 @dataclass(frozen=True)
-class FluctuationVector:
+class FluctuationVector(_Triple):
     """Deviation of a state from equilibrium; components sum to 0."""
 
     f0: float
     f1: float
     f2: float
 
-    def __post_init__(self):
-        values = _coerce_floats(self, ("f0", "f1", "f2"))
-        tol = BALANCE_TOL * max(1.0, *map(abs, values))
-        if abs(self.f0 + self.f1 + self.f2) > tol:
-            raise InvalidInputError(
-                f"fluctuations must sum to 0, got sum {self.f0 + self.f1 + self.f2!r}"
-            )
-
-    def __iter__(self):
-        yield self.f0
-        yield self.f1
-        yield self.f2
-
-
-@dataclass(frozen=True)
-class RegressionMatrix:
-    """3x3 increment-regression matrix; built matrices have zero column sums."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(float(x) for x in row) for row in self.rows)
-        if len(rows) != 3 or any(len(row) != 3 for row in rows):
-            raise InvalidInputError("regression matrix must be 3x3")
-        if not all(math.isfinite(x) for row in rows for x in row):
-            raise InvalidInputError("regression matrix entries must be finite")
-        object.__setattr__(self, "rows", rows)
-
-    def apply(self, vec):
-        """Matrix-vector product; each row is evaluated left to right."""
-        x0, x1, x2 = vec
-        return tuple(row[0] * x0 + row[1] * x1 + row[2] * x2 for row in self.rows)
-
-    def column_sums(self):
-        return tuple(self.rows[0][n] + self.rows[1][n] + self.rows[2][n] for n in range(3))
+    _total = 0.0
+    _noun = "fluctuations"
 
 
 @dataclass(frozen=True)
@@ -207,15 +181,16 @@ class Equilibrium:
 
 
 def build_regression_matrix(params):
-    """Matrix with diagonal entries 2*v_m and column-n off-diagonal entries -v_n."""
+    """Rows of the matrix with diagonal entries 2*v_m and column-n off-diagonal entries -v_n."""
     v0, v1, v2 = params
-    return RegressionMatrix(
-        rows=(
-            (2.0 * v0, -v1, -v2),
-            (-v0, 2.0 * v1, -v2),
-            (-v0, -v1, 2.0 * v2),
-        )
+    rows = (
+        (2.0 * v0, -v1, -v2),
+        (-v0, 2.0 * v1, -v2),
+        (-v0, -v1, 2.0 * v2),
     )
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise InvalidInputError("regression matrix entries must be finite")
+    return rows
 
 
 def compute_equilibrium(params):
@@ -273,7 +248,7 @@ def _clamped_step(rows, p):
 
 def step_raw(params, state):
     """One unclamped linear step; conserves the component sum only."""
-    rows = build_regression_matrix(params).rows
+    rows = build_regression_matrix(params)
     return RawState(*_raw_step(rows, (state.p0, state.p1, state.p2)))
 
 
@@ -284,9 +259,8 @@ def step_clamped(params, state):
     renormalised; a coordinate within ``ABSORB_EPS`` of 1 is snapped to the
     exact unit vector, which the dynamics then treats as absorbing.
     """
-    if not isinstance(state, SimplexPoint):
-        state = SimplexPoint(state.p0, state.p1, state.p2)
-    rows = build_regression_matrix(params).rows
+    state = SimplexPoint.of(state)
+    rows = build_regression_matrix(params)
     return SimplexPoint(*_clamped_step(rows, (state.p0, state.p1, state.p2)))
 
 
@@ -311,13 +285,12 @@ def trajectory(params, init, steps, mode="raw"):
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
     if mode not in ("raw", "clamped"):
         raise InvalidInputError(f"mode must be 'raw' or 'clamped', got {mode!r}")
-    rows = build_regression_matrix(params).rows
+    rows = build_regression_matrix(params)
     if mode == "clamped":
-        first = init if isinstance(init, SimplexPoint) else SimplexPoint(init.p0, init.p1, init.p2)
         wrap, advance = SimplexPoint, _clamped_step
     else:
-        first = init if isinstance(init, RawState) else RawState(init.p0, init.p1, init.p2)
         wrap, advance = RawState, _raw_step
+    first = wrap.of(init)
     out = [first]
     p = (first.p0, first.p1, first.p2)
     for k in range(steps):

@@ -92,9 +92,8 @@ def run_replications(params, init, cfg):
     replications run.  A failing step is re-raised with its replication
     and step attached.
     """
-    if not isinstance(init, SimplexPoint):
-        init = SimplexPoint(init.p0, init.p1, init.p2)
-    rows = build_regression_matrix(params).rows
+    init = SimplexPoint.of(init)
+    rows = build_regression_matrix(params)
     n = cfg.sample_volume
     trajectories = []
     for r in range(cfg.replications):
@@ -142,8 +141,7 @@ def lln_diagnostic(params, init, volumes, cfg):
         raise InvalidInputError(f"sample volumes must be >= 1, got {volumes}")
     if any(b <= a for a, b in zip(volumes, volumes[1:])):
         raise InvalidInputError(f"volumes must be strictly increasing, got {volumes}")
-    if not isinstance(init, SimplexPoint):
-        init = SimplexPoint(init.p0, init.p1, init.p2)
+    init = SimplexPoint.of(init)
     reference = [(s.p0, s.p1, s.p2) for s in trajectory(params, init, cfg.steps, mode="clamped")]
 
     rows = []

@@ -4,12 +4,16 @@ Floats are written as the shortest decimal that parses back to the exact
 same double, so emitted files round-trip losslessly and identical runs
 produce byte-identical output.  CSV uses comma separators, ``\\n`` line
 endings and minimal quoting; JSON mirrors each table as a list of objects
-keyed by the column names.
+keyed by the column names.  Every table is a header plus the rows of one
+private row builder, emitted by :func:`csv_text` or :func:`json_text`; a
+tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
 """
 
 import csv
 import io
 import json
+
+_JSON = json.JSONEncoder(indent=2)
 
 
 def format_float(value):
@@ -23,6 +27,8 @@ def _cell(value):
         return value
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, tuple):
+        return ";".join(value)
     return format_float(value)
 
 
@@ -35,43 +41,45 @@ def csv_text(header, rows):
     return buf.getvalue()
 
 
-def json_text(payload):
-    return json.dumps(payload, indent=2) + "\n"
+def json_text(header, rows, single=False):
+    """A list of objects keyed by ``header``, or the one object when ``single``."""
+    objects = [dict(zip(header, row)) for row in rows]
+    if single:
+        (objects,) = objects
+    return _JSON.encode(objects) + "\n"
 
 
 TRAJECTORY_HEADER = ["k", "p0", "p1", "p2"]
 
 
+def _trajectory_rows(states):
+    for k, s in enumerate(states):
+        yield k, s.p0, s.p1, s.p2
+
+
 def trajectory_to_csv(states):
-    return csv_text(
-        TRAJECTORY_HEADER,
-        [[k, s.p0, s.p1, s.p2] for k, s in enumerate(states)],
-    )
+    return csv_text(TRAJECTORY_HEADER, _trajectory_rows(states))
 
 
 def trajectory_to_json(states):
-    return json_text([
-        {"k": k, "p0": s.p0, "p1": s.p1, "p2": s.p2} for k, s in enumerate(states)
-    ])
+    return json_text(TRAJECTORY_HEADER, _trajectory_rows(states))
 
 
 EQUILIBRIUM_HEADER = ["rho0", "rho1", "rho2", "v", "v_bar", "flags"]
 
 
-def _equilibrium_fields(eq, flags):
+def _equilibrium_rows(eq, flags):
     v0, v1, v2 = eq.params
     v_bar = eq.v_bar if v0 != 0.0 and v1 != 0.0 and v2 != 0.0 else None
-    return [eq.rho0, eq.rho1, eq.rho2, eq.v_denominator, v_bar, list(flags)]
+    yield eq.rho0, eq.rho1, eq.rho2, eq.v_denominator, v_bar, tuple(flags)
 
 
 def equilibrium_to_csv(eq, flags=()):
-    fields = _equilibrium_fields(eq, flags)
-    fields[-1] = ";".join(flags)
-    return csv_text(EQUILIBRIUM_HEADER, [fields])
+    return csv_text(EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags))
 
 
 def equilibrium_to_json(eq, flags=()):
-    return json_text(dict(zip(EQUILIBRIUM_HEADER, _equilibrium_fields(eq, flags))))
+    return json_text(EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags), single=True)
 
 
 CLASSIFICATION_HEADER = [
@@ -79,26 +87,18 @@ CLASSIFICATION_HEADER = [
 ]
 
 
-def _classification_fields(report, predicted, flags):
-    return [
-        report.coordinate,
-        report.scenario.value,
-        report.rho_m,
-        report.v_m,
-        predicted,
-        report.contraction_factor,
-        list(flags),
-    ]
+def _classification_rows(report, predicted, flags):
+    yield (report.coordinate, report.scenario.value, report.rho_m, report.v_m, predicted,
+           report.contraction_factor, tuple(flags))
 
 
 def classification_to_csv(report, predicted, flags=()):
-    fields = _classification_fields(report, predicted, flags)
-    fields[-1] = ";".join(flags)
-    return csv_text(CLASSIFICATION_HEADER, [fields])
+    return csv_text(CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags))
 
 
 def classification_to_json(report, predicted, flags=()):
-    return json_text(dict(zip(CLASSIFICATION_HEADER, _classification_fields(report, predicted, flags))))
+    return json_text(CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags),
+                     single=True)
 
 
 SWEEP_HEADER = [
@@ -107,62 +107,49 @@ SWEEP_HEADER = [
 ]
 
 
-def _sweep_fields(row):
-    return [
-        row.v0, row.v1, row.v2, row.coordinate, row.rho_m, row.v_m, row.scenario,
-        row.predicted_limit, row.contraction_factor, row.simulated_limit, row.agreement,
-        list(row.flags),
-    ]
+def _sweep_rows(rows):
+    for row in rows:
+        yield (row.v0, row.v1, row.v2, row.coordinate, row.rho_m, row.v_m, row.scenario,
+               row.predicted_limit, row.contraction_factor, row.simulated_limit, row.agreement,
+               row.flags)
 
 
 def sweep_to_csv(rows):
-    table = []
-    for row in rows:
-        fields = _sweep_fields(row)
-        fields[-1] = ";".join(row.flags)
-        table.append(fields)
-    return csv_text(SWEEP_HEADER, table)
+    return csv_text(SWEEP_HEADER, _sweep_rows(rows))
 
 
 def sweep_to_json(rows):
-    return json_text([dict(zip(SWEEP_HEADER, _sweep_fields(row))) for row in rows])
+    return json_text(SWEEP_HEADER, _sweep_rows(rows))
 
 
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]
 
 
-def replications_to_csv(trajectories):
-    table = []
+def _replication_rows(trajectories):
     for traj in trajectories:
         for k, point in enumerate(traj.points):
-            table.append([traj.replication, k, point[0], point[1], point[2]])
-    return csv_text(REPLICATION_HEADER, table)
+            yield traj.replication, k, point[0], point[1], point[2]
+
+
+def replications_to_csv(trajectories):
+    return csv_text(REPLICATION_HEADER, _replication_rows(trajectories))
 
 
 def replications_to_json(trajectories):
-    payload = []
-    for traj in trajectories:
-        for k, point in enumerate(traj.points):
-            payload.append({
-                "replication": traj.replication, "k": k,
-                "p0": point[0], "p1": point[1], "p2": point[2],
-            })
-    return json_text(payload)
+    return json_text(REPLICATION_HEADER, _replication_rows(trajectories))
 
 
 DEVIATION_HEADER = ["n", "median_max_deviation", "replications"]
 
 
+def _deviation_rows(rows):
+    for r in rows:
+        yield r.sample_volume, r.median_max_deviation, r.replications
+
+
 def deviation_table_to_csv(rows):
-    return csv_text(
-        DEVIATION_HEADER,
-        [[r.sample_volume, r.median_max_deviation, r.replications] for r in rows],
-    )
+    return csv_text(DEVIATION_HEADER, _deviation_rows(rows))
 
 
 def deviation_table_to_json(rows):
-    return json_text([
-        {"n": r.sample_volume, "median_max_deviation": r.median_max_deviation,
-         "replications": r.replications}
-        for r in rows
-    ])
+    return json_text(DEVIATION_HEADER, _deviation_rows(rows))

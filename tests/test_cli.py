@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -180,6 +182,29 @@ def test_classify_flag_conflicts(capsys):
     assert code == 2
 
 
+def test_classify_rejects_nonfinite_p0(capsys):
+    code, out, err = run(capsys, "classify", "--v", "-0.2,0.5,-0.4", "--m", "0",
+                         "--p0", "nan")
+    assert code == 2
+    assert out == ""
+    assert "--p0" in err
+
+
+def test_classify_rejects_p0_outside_unit_interval(capsys):
+    code, out, err = run(capsys, "classify", "--v", "-0.2,0.5,-0.4", "--m", "0", "--p0", "7")
+    assert code == 2
+    assert out == ""
+    assert "--p0" in err
+
+
+def test_classify_flag_conflict_checked_before_classifying(capsys):
+    # coordinate 1 of this cell is a boundary case (exit 5) once classified
+    code, out, _ = run(capsys, "classify", "--v", "0.1,0,0.1", "--m", "1",
+                       "--p0", "0.5", "--init", "0.5,0.3,0.2")
+    assert code == 2
+    assert out == ""
+
+
 def test_classify_no_equilibrium_exit_code(capsys):
     code, _, _ = run(capsys, "classify", "--v", "-0.1,0.2,0.2", "--m", "0")
     assert code == 3
@@ -233,6 +258,71 @@ def test_sweep_no_partial_file_on_error(tmp_path, capsys):
     assert code == 2
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+def test_sweep_rejects_nonpositive_agreement_tol(capsys, tol):
+    code, out, err = run(capsys, "sweep", "--cells", ATTRACTIVE, "--m", "0",
+                         "--init", "0.5,0.3,0.2", "--simulate", "--agreement-tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "agreement_tol" in err
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "equilibrium", "--v", "1,1,1", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_onto_directory_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = run(capsys, "equilibrium", "--v", "1,1,1", "--output", str(target))
+    assert code == 2
+    assert err.startswith("error: cannot write output")
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_file_mode_follows_umask(tmp_path, capsys, umask, mode):
+    target = tmp_path / "eq.csv"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "equilibrium", "--v", "1,1,1", "--output", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640])
+def test_output_overwrite_keeps_existing_file_mode(tmp_path, capsys, mode):
+    target = tmp_path / "eq.csv"
+    target.write_text("old\n")
+    target.chmod(mode)
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "equilibrium", "--v", "1,1,1", "--output", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert target.read_text().startswith("rho0,")
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+def test_stdout_write_error_is_not_an_output_path_error(monkeypatch):
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["equilibrium", "--v", "1,1,1"])
 
 
 # --------------------------------------------------------------- stochastic

@@ -14,6 +14,7 @@ from ternary_dynamics import (
     build_regression_matrix,
     compute_equilibrium,
     contraction_factor,
+    estimate_limit,
     reduced_matrix,
     step_clamped,
     step_raw,
@@ -83,37 +84,93 @@ def test_fluctuation_vector_balance():
         FluctuationVector(0.2, 0.1, 0.1)
 
 
+TRIPLES = [
+    (SimplexPoint, (0.5, 0.3, 0.2)),
+    (RawState, (1.5, -0.25, -0.25)),
+    (FluctuationVector, (0.2, -0.1, -0.1)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, values", TRIPLES)
+def test_triples_reject_nonfinite(cls, values, bad):
+    for i in range(3):
+        components = list(values)
+        components[i] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            cls(*components)
+
+
+@pytest.mark.parametrize("cls, values", TRIPLES)
+def test_triple_of_keeps_instance_and_builds_from_components(cls, values):
+    x = cls(*values)
+    assert cls.of(x) is x
+    assert tuple(x) == values
+    assert cls.of(list(values)) == x
+
+
+def test_simplex_point_of_rejects_raw_state_off_the_simplex():
+    with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+        SimplexPoint.of(RawState(1.5, -0.25, -0.25))
+
+
 # -------------------------------------------------------- regression matrix
 
+def column_sums(rows):
+    return tuple(rows[0][n] + rows[1][n] + rows[2][n] for n in range(3))
+
+
+def matrix_vector(rows, vec):
+    """M·p with each row evaluated left to right."""
+    x0, x1, x2 = vec
+    return tuple(row[0] * x0 + row[1] * x1 + row[2] * x2 for row in rows)
+
+
 def test_matrix_all_zero_params():
-    m = build_regression_matrix(DirectingParams(0.0, 0.0, 0.0))
-    assert m.rows == ((0.0, 0.0, 0.0),) * 3
+    rows = build_regression_matrix(DirectingParams(0.0, 0.0, 0.0))
+    assert rows == ((0.0, 0.0, 0.0),) * 3
 
 
 def test_matrix_symmetric_unit_params():
-    m = build_regression_matrix(DirectingParams(1.0, 1.0, 1.0))
+    rows = build_regression_matrix(DirectingParams(1.0, 1.0, 1.0))
     for i in range(3):
         for j in range(3):
-            assert m.rows[i][j] == (2.0 if i == j else -1.0)
-    assert m.column_sums() == (0.0, 0.0, 0.0)
+            assert rows[i][j] == (2.0 if i == j else -1.0)
+    assert column_sums(rows) == (0.0, 0.0, 0.0)
 
 
 def test_matrix_hand_built_rows():
-    m = build_regression_matrix(DirectingParams(0.5, 1.0, 1.0))
-    assert m.rows == ((1.0, -1.0, -1.0), (-0.5, 2.0, -1.0), (-0.5, -1.0, 2.0))
+    rows = build_regression_matrix(DirectingParams(0.5, 1.0, 1.0))
+    assert rows == ((1.0, -1.0, -1.0), (-0.5, 2.0, -1.0), (-0.5, -1.0, 2.0))
 
 
 def test_matrix_column_sums_exactly_zero_random():
     rng = np.random.default_rng(101)
     for _ in range(500):
         v = rng.uniform(-1.0, 1.0, size=3)
-        m = build_regression_matrix(DirectingParams(*v))
-        assert m.column_sums() == (0.0, 0.0, 0.0)
+        rows = build_regression_matrix(DirectingParams(*v))
+        assert column_sums(rows) == (0.0, 0.0, 0.0)
 
 
 def test_matrix_apply_is_row_dot_product():
-    m = build_regression_matrix(DirectingParams(0.1, 0.1, 0.1))
-    assert m.apply((0.5, 0.3, 0.2)) == pytest.approx((0.05, -0.01, -0.04), abs=1e-15)
+    rows = build_regression_matrix(DirectingParams(0.1, 0.1, 0.1))
+    assert matrix_vector(rows, (0.5, 0.3, 0.2)) == pytest.approx(
+        (0.05, -0.01, -0.04), abs=1e-15
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_matrix_rejects_nonfinite_entries_from_unvalidated_params(bad):
+    # Plain tuples skip DirectingParams; 2 * 1e308 overflows to inf.
+    init = SimplexPoint(0.5, 0.3, 0.2)
+    with pytest.raises(InvalidInputError, match="finite"):
+        build_regression_matrix((bad, 0.1, 0.1))
+    with pytest.raises(InvalidInputError, match="finite"):
+        step_clamped((bad, 0.0, 0.0), init)
+    with pytest.raises(InvalidInputError, match="finite"):
+        trajectory((0.1, bad, 0.1), init, 3, mode="clamped")
+    with pytest.raises(InvalidInputError, match="finite"):
+        estimate_limit((0.1, 0.1, bad), init)
 
 
 # -------------------------------------------------------------- equilibrium
@@ -128,8 +185,8 @@ def test_equilibrium_hand_substituted():
     eq = compute_equilibrium(DirectingParams(0.5, 1.0, 1.0))
     assert eq.rho == (0.5, 0.25, 0.25)
     assert eq.v_denominator == 2.0
-    m = build_regression_matrix(eq.params)
-    assert max(map(abs, m.apply(eq.rho))) <= 1e-12
+    rows = build_regression_matrix(eq.params)
+    assert max(map(abs, matrix_vector(rows, eq.rho))) <= 1e-12
 
 
 def test_equilibrium_components_may_leave_unit_interval():

@@ -23,7 +23,7 @@ SLOW_PERIOD_2_CELLS = [(0.72, 0.72, 0.9), (0.9, 0.72, 0.72)]  # after ~2,900 ste
 
 
 def plain_estimate(params, init, coordinate, tol, max_steps, window):
-    rows = build_regression_matrix(params).rows
+    rows = build_regression_matrix(params)
     state = (init.p0, init.p1, init.p2)
     quiet = 0
     delta = float("inf")

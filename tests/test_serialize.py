@@ -101,3 +101,14 @@ def test_replications_and_deviation_serialization():
     assert reparse_identical(dev_text)
     payload = json.loads(serialize.deviation_table_to_json(table))
     assert [row["n"] for row in payload] == [10, 100]
+
+
+def test_json_text_matches_json_dumps_byte_for_byte():
+    header = ["k", "x", "flags"]
+    for n in (0, 1, 2500):
+        rows = [(k, k / 7, ("a", "b") if k % 2 else ()) for k in range(n)]
+        expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        assert serialize.json_text(header, iter(rows)) == expected
+    assert serialize.json_text(header, [(1, 0.5, ())], single=True) == (
+        json.dumps({"k": 1, "x": 0.5, "flags": []}, indent=2) + "\n"
+    )
