@@ -12,6 +12,7 @@ subcommand; flags given on the command line win on conflict.
 """
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -84,9 +85,11 @@ def _axis(text):
     span = (stop - start) / step
     if span < 0.0:
         raise argparse.ArgumentTypeError(f"range {text!r} is empty: step points away from stop")
-    count = int(span + 1e-9) + 1
-    if count > MAX_GRID_CELLS:
+    # The same test as count > MAX_GRID_CELLS, made before int(), which
+    # raises OverflowError on an infinite span.
+    if not math.isfinite(span) or span + 1e-9 >= MAX_GRID_CELLS:
         raise argparse.ArgumentTypeError(f"range {text!r} enumerates too many values")
+    count = int(span + 1e-9) + 1
     return [round(start + i * step, 12) for i in range(count)]
 
 

@@ -225,25 +225,40 @@ def to_fluctuation(state, eq):
 
 
 def _raw_step(rows, p):
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     x0, x1, x2 = p
-    return tuple(
-        x - (row[0] * x0 + row[1] * x1 + row[2] * x2) for x, row in zip(p, rows)
+    return (
+        x0 - (a0 * x0 + a1 * x1 + a2 * x2),
+        x1 - (b0 * x0 + b1 * x1 + b2 * x2),
+        x2 - (c0 * x0 + c1 * x1 + c2 * x2),
     )
 
 
 def _clamped_step(rows, p):
-    q = _raw_step(rows, p)
-    clipped = tuple(min(1.0, max(0.0, x)) for x in q)
-    total = clipped[0] + clipped[1] + clipped[2]
+    q0, q1, q2 = _raw_step(rows, p)
+    # Same result as min(1.0, max(0.0, q)), including NaN -> 0.0 and -0.0 -> 0.0.
+    q0 = q0 if q0 > 0.0 else 0.0
+    q0 = q0 if q0 < 1.0 else 1.0
+    q1 = q1 if q1 > 0.0 else 0.0
+    q1 = q1 if q1 < 1.0 else 1.0
+    q2 = q2 if q2 > 0.0 else 0.0
+    q2 = q2 if q2 < 1.0 else 1.0
+    total = q0 + q1 + q2
     if total <= 0.0:
         raise DegenerateClampError(
             f"clamping removed all probability mass (clipped sum {total!r})"
         )
-    renormed = (clipped[0] / total, clipped[1] / total, clipped[2] / total)
-    for m in range(3):
-        if renormed[m] >= 1.0 - ABSORB_EPS:
-            return tuple(1.0 if n == m else 0.0 for n in range(3))
-    return renormed
+    q0 /= total
+    q1 /= total
+    q2 /= total
+    snap = 1.0 - ABSORB_EPS
+    if q0 >= snap:
+        return (1.0, 0.0, 0.0)
+    if q1 >= snap:
+        return (0.0, 1.0, 0.0)
+    if q2 >= snap:
+        return (0.0, 0.0, 1.0)
+    return (q0, q1, q2)
 
 
 def step_raw(params, state):

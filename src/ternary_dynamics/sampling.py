@@ -9,8 +9,10 @@ runs bit-reproducible and replications independent without any shared
 generator state.
 """
 
+import operator
 import statistics
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -80,8 +82,8 @@ def stochastic_step(params, freq, n, rng):
     if n < 1:
         raise InvalidInputError(f"sample volume must be >= 1, got {n}")
     target = step_clamped(params, freq)
-    counts = rng.multinomial(n, (target.p0, target.p1, target.p2))
-    return SimplexPoint(counts[0] / n, counts[1] / n, counts[2] / n)
+    c0, c1, c2 = rng.multinomial(n, (target.p0, target.p1, target.p2)).tolist()
+    return SimplexPoint(c0 / n, c1 / n, c2 / n)
 
 
 def run_replications(params, init, cfg):
@@ -105,9 +107,9 @@ def run_replications(params, init, cfg):
                 target = _clamped_step(rows, state)
             except ModelError as exc:
                 raise type(exc)(f"replication {r}, step {k + 1}: {exc}") from exc
-            drawn = rng.multinomial(n, target)
-            counts.append((int(drawn[0]), int(drawn[1]), int(drawn[2])))
-            state = (drawn[0] / n, drawn[1] / n, drawn[2] / n)
+            c0, c1, c2 = rng.multinomial(n, target).tolist()
+            counts.append((c0, c1, c2))
+            state = (c0 / n, c1 / n, c2 / n)
         trajectories.append(EmpiricalTrajectory(
             replication=r,
             seed=cfg.seed,
@@ -142,20 +144,15 @@ def lln_diagnostic(params, init, volumes, cfg):
     if any(b <= a for a, b in zip(volumes, volumes[1:])):
         raise InvalidInputError(f"volumes must be strictly increasing, got {volumes}")
     init = SimplexPoint.of(init)
-    reference = [(s.p0, s.p1, s.p2) for s in trajectory(params, init, cfg.steps, mode="clamped")]
+    flat_ref = list(chain.from_iterable(trajectory(params, init, cfg.steps, mode="clamped")))
 
     rows = []
     for n in volumes:
         trajs = run_replications(params, init, replace(cfg, sample_volume=n))
-        deviations = []
-        for traj in trajs:
-            worst = 0.0
-            for point, ref in zip(traj.points, reference):
-                for a, b in zip(point, ref):
-                    gap = abs(a - b)
-                    if gap > worst:
-                        worst = gap
-            deviations.append(worst)
+        deviations = [
+            max(0.0, *map(abs, map(operator.sub, chain.from_iterable(traj.points), flat_ref)))
+            for traj in trajs
+        ]
         rows.append(DeviationRow(
             sample_volume=n,
             median_max_deviation=statistics.median(deviations),

@@ -241,6 +241,21 @@ def test_sweep_rejects_conflicting_grid_specs(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["0:inf:1", "0:1e300:1e-300", "0:nan:1", "0:1000000:1"])
+def test_sweep_rejects_unbounded_axis_range(capsys, spec):
+    code, out, err = run(capsys, "sweep", "--v0", spec, "--v1", "0.1", "--v2", "0.1",
+                         "--init", "0.5,0.3,0.2")
+    assert code == 2
+    assert out == ""
+    assert "enumerates too many values" in err
+
+
+def test_sweep_axis_range_at_cell_limit_is_accepted():
+    from ternary_dynamics.cli import MAX_GRID_CELLS, _axis
+
+    assert len(_axis(f"0:{MAX_GRID_CELLS - 1}:1")) == MAX_GRID_CELLS
+
+
 def test_sweep_file_output_reruns_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -1,10 +1,13 @@
+import statistics
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ternary_dynamics import (
+    DeviationRow,
     DirectingParams,
+    EmpiricalTrajectory,
     InvalidInputError,
     SampleConfig,
     SimplexPoint,
@@ -14,6 +17,7 @@ from ternary_dynamics import (
     stochastic_step,
     trajectory,
 )
+from ternary_dynamics.core import _clamped_step, build_regression_matrix
 from ternary_dynamics.serialize import deviation_table_to_csv, replications_to_csv
 
 PARAMS = DirectingParams(0.1, 0.1, 0.1)
@@ -122,6 +126,86 @@ def test_run_replications_independent_of_replication_count():
     for count in (1, 2, 5):
         fewer = run_replications(PARAMS, INIT, replace(cfg, replications=count))
         assert fewer == full[:count]
+
+
+# Plain loops the sampling layer must reproduce exactly: counts converted one
+# numpy integer at a time, the state kept as numpy quotients, and the
+# deviation taken point by point.
+
+def reference_run_replications(params, init, cfg):
+    rows = build_regression_matrix(params)
+    n = cfg.sample_volume
+    trajectories = []
+    for r in range(cfg.replications):
+        rng = replication_stream(cfg.seed, r)
+        state = (init.p0, init.p1, init.p2)
+        counts = []
+        for _ in range(cfg.steps):
+            target = _clamped_step(rows, state)
+            drawn = rng.multinomial(n, target)
+            counts.append((int(drawn[0]), int(drawn[1]), int(drawn[2])))
+            state = (drawn[0] / n, drawn[1] / n, drawn[2] / n)
+        trajectories.append(EmpiricalTrajectory(
+            replication=r,
+            seed=cfg.seed,
+            sample_volume=n,
+            init=(init.p0, init.p1, init.p2),
+            counts=tuple(counts),
+        ))
+    return tuple(trajectories)
+
+
+def reference_lln_diagnostic(params, init, volumes, cfg):
+    reference = [(s.p0, s.p1, s.p2) for s in trajectory(params, init, cfg.steps, mode="clamped")]
+    rows = []
+    for n in volumes:
+        trajs = reference_run_replications(params, init, replace(cfg, sample_volume=n))
+        deviations = []
+        for traj in trajs:
+            worst = 0.0
+            for point, ref in zip(traj.points, reference):
+                for a, b in zip(point, ref):
+                    gap = abs(a - b)
+                    if gap > worst:
+                        worst = gap
+            deviations.append(worst)
+        rows.append(DeviationRow(
+            sample_volume=n,
+            median_max_deviation=statistics.median(deviations),
+            replications=cfg.replications,
+        ))
+    return rows
+
+
+IDENTITY_CASES = {
+    "attractive": (DirectingParams(0.1, 0.1, 0.1), SimplexPoint(0.5, 0.3, 0.2)),
+    "repulsive": (DirectingParams(-0.2, 0.5, -0.4), SimplexPoint(0.5, 0.25, 0.25)),
+    # the clamped path reaches the vertex (1, 0, 0) at step 3
+    "absorbing": (DirectingParams(-0.1, 0.3, 0.2), SimplexPoint(0.5, 0.3, 0.2)),
+}
+IDENTITY_VOLUMES = [1, 7, 10, 10_000]
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("n", IDENTITY_VOLUMES)
+def test_run_replications_matches_reference_loop(case, seed, n):
+    params, init = IDENTITY_CASES[case]
+    cfg = SampleConfig(sample_volume=n, replications=3, seed=seed, steps=25)
+    got = run_replications(params, init, cfg)
+    expected = reference_run_replications(params, init, cfg)
+    assert repr(got) == repr(expected)
+    assert all(type(c) is int for traj in got for stage in traj.counts for c in stage)
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_lln_diagnostic_matches_reference_loop(case, seed):
+    params, init = IDENTITY_CASES[case]
+    cfg = SampleConfig(sample_volume=1, replications=5, seed=seed, steps=25)
+    got = lln_diagnostic(params, init, IDENTITY_VOLUMES, cfg)
+    expected = reference_lln_diagnostic(params, init, IDENTITY_VOLUMES, cfg)
+    assert repr(got) == repr(expected)
 
 
 # ---------------------------------------------------------- LLN diagnostic
