@@ -16,6 +16,7 @@ over a parameter grid.
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DegenerateClampError,
@@ -226,9 +227,8 @@ def check_agreement(report, estimate, init, tol=1e-6):
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid cell of a scenario sweep."""
+class SweepRow(NamedTuple):
+    """One grid cell of a scenario sweep; the fields are ``serialize.SWEEP_HEADER``, in order."""
 
     v0: float
     v1: float
@@ -249,41 +249,32 @@ def grid_cells(v0_values, v1_values, v2_values):
     return [(a, b, c) for a in v0_values for b in v1_values for c in v2_values]
 
 
-def _evaluate_cell(cell, coordinate, init, simulate, bound_check, tol, max_steps, agreement_tol):
+def _evaluate_cell(cell, coordinate, init, start, simulate, bound_check, tol, max_steps,
+                   agreement_tol):
+    """The row of one cell; ``start`` is ``init``'s value at ``coordinate``."""
     v0, v1, v2 = cell
-    flags = set()
-
-    def row(scenario, rho_m=None, v_m=None, predicted=None, contraction=None,
-            simulated=None, agreement=None):
-        return SweepRow(
-            v0=v0, v1=v1, v2=v2, coordinate=coordinate,
-            rho_m=rho_m, v_m=v_m, scenario=scenario,
-            predicted_limit=predicted, contraction_factor=contraction,
-            simulated_limit=simulated, agreement=agreement,
-            flags=tuple(sorted(flags)),
-        )
-
+    v_m = cell[coordinate]
     try:
         params = DirectingParams(v0, v1, v2, bound_check=bound_check)
     except InvalidInputError:
-        return row("invalid_params", v_m=cell[coordinate])
-    if not params.in_model_range:
-        flags.add("params_out_of_range")
-    contraction = contraction_factor(params)
-    v_m = tuple(params)[coordinate]
+        return SweepRow(v0, v1, v2, coordinate, None, v_m, "invalid_params", None, None, None,
+                        None, ())
+    flags = [] if params.in_model_range else ["params_out_of_range"]
 
     try:
         report = classify(params, coordinate)
     except NoEquilibriumError:
-        return row("no_equilibrium", v_m=v_m, contraction=contraction)
+        return SweepRow(v0, v1, v2, coordinate, None, v_m, "no_equilibrium", None,
+                        contraction_factor(params), None, None, tuple(flags))
     except BoundaryCaseError as exc:
-        flags.update(exc.flags)
-        return row("boundary", rho_m=exc.rho_m, v_m=v_m, contraction=contraction)
+        flags.extend(exc.flags)
+        return SweepRow(v0, v1, v2, coordinate, exc.rho_m, v_m, "boundary", None,
+                        contraction_factor(params), None, None, tuple(sorted(flags)))
 
     try:
-        predicted = report.resolve_limit(tuple(init)[coordinate])
+        predicted = report.resolve_limit(start)
     except UnresolvedPredictionError:
-        flags.add("unresolved_prediction")
+        flags.append("unresolved_prediction")
         predicted = None
 
     simulated = agreement = None
@@ -291,23 +282,16 @@ def _evaluate_cell(cell, coordinate, init, simulate, bound_check, tol, max_steps
         try:
             estimate = estimate_limit(params, init, coordinate, tol=tol, max_steps=max_steps)
         except DegenerateClampError:
-            flags.add("degenerate_clamp")
+            flags.append("degenerate_clamp")
         else:
             simulated = estimate.value
             if not estimate.converged:
-                flags.add("not_converged")
+                flags.append("not_converged")
             if predicted is not None:
                 agreement = "agree" if abs(simulated - predicted) <= agreement_tol else "disagree"
 
-    return row(
-        report.scenario.value,
-        rho_m=report.rho_m,
-        v_m=v_m,
-        predicted=predicted,
-        contraction=contraction,
-        simulated=simulated,
-        agreement=agreement,
-    )
+    return SweepRow(v0, v1, v2, coordinate, report.rho_m, v_m, report.scenario.value, predicted,
+                    report.contraction_factor, simulated, agreement, tuple(sorted(flags)))
 
 
 def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=False, *,
@@ -324,15 +308,16 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     if not agreement_tol > 0.0:
         raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
     init = SimplexPoint.of(init)
+    start = tuple(init)[coordinate]
     prepared = []
     for cell in cells:
-        triple = tuple(float(x) for x in cell)
+        triple = tuple(map(float, cell))
         if len(triple) != 3:
             raise InvalidInputError(f"grid cells must be triples, got {cell!r}")
         prepared.append(triple)
 
     return [
-        _evaluate_cell(triple, coordinate, init, simulate, bound_check, tol, max_steps,
+        _evaluate_cell(triple, coordinate, init, start, simulate, bound_check, tol, max_steps,
                        agreement_tol)
         for triple in prepared
     ]

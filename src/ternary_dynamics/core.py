@@ -39,10 +39,11 @@ class DegenerateClampError(ModelError):
 
 
 def _coerce_floats(obj, names):
-    for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
-    values = tuple(getattr(obj, name) for name in names)
-    if not all(math.isfinite(v) for v in values):
+    # Written straight into the instance dict: the types are frozen dataclasses.
+    attrs = vars(obj)
+    values = tuple(map(float, map(attrs.__getitem__, names)))
+    attrs.update(zip(names, values))
+    if not all(map(math.isfinite, values)):
         raise InvalidInputError(f"{type(obj).__name__} components must be finite, got {values}")
     return values
 

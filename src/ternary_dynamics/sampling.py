@@ -72,8 +72,13 @@ class EmpiricalTrajectory:
 
 
 def replication_stream(seed, replication):
-    """Independent generator for one replication, keyed by (seed, replication)."""
-    return np.random.Generator(np.random.Philox(key=[seed, replication]))
+    """Independent generator for one replication, keyed by (seed, replication).
+
+    The key is built as ``uint64``: a plain list would become float64 for
+    seeds >= 2**63 and lose their low bits.
+    """
+    key = np.array([seed, replication], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def stochastic_step(params, freq, n, rng):

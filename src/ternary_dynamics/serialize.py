@@ -11,9 +11,10 @@ tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
 
 import csv
 import io
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 
-_JSON = json.JSONEncoder(indent=2)
+_float_repr = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def format_float(value):
@@ -42,11 +43,56 @@ def csv_text(header, rows):
 
 
 def json_text(header, rows, single=False):
-    """A list of objects keyed by ``header``, or the one object when ``single``."""
-    objects = [dict(zip(header, row)) for row in rows]
+    """A list of objects keyed by ``header``, or the one object when ``single``.
+
+    The text is byte-identical to ``json.JSONEncoder(indent=2).encode`` of
+    ``[dict(zip(header, row)) for row in rows]`` (or of the one object) plus
+    a newline, for the values a table holds: ``None``, ``bool``, ``int``,
+    ``float`` (``NaN``/``Infinity``/``-Infinity`` as :mod:`json` writes
+    them), ``str`` and a tuple of ``str``.  Any other value raises
+    :class:`TypeError`.  Column names must be distinct, and each row has one
+    value per column.
+
+    Each object is formatted as one string and the document is joined once.
+    With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
+    per token, millions of them for a large sweep.
+    """
+    if len(set(header)) != len(header):
+        raise ValueError(f"column names must be distinct, got {header!r}")
+    pad = "" if single else "  "
+    fields = ",".join(f"\n{pad}  " + _json_str(key).replace("%", "%%") + ": %s" for key in header)
+    template = "{" + fields + (f"\n{pad}}}" if header else "}")
+    open_list = f"[\n{pad}    "
+    next_item = f",\n{pad}    "
+    close_list = f"\n{pad}  ]"
+    objects = []
+    for row in rows:
+        texts = []
+        for value in row:
+            if isinstance(value, float):
+                text = _float_repr(value)
+                if text in _NONFINITE:
+                    text = _NONFINITE[text]
+            elif value is None:
+                text = "null"
+            elif isinstance(value, str):
+                text = _json_str(value)
+            elif isinstance(value, int):
+                text = ("true" if value is True else "false" if value is False
+                        else int.__repr__(value))
+            elif isinstance(value, tuple):
+                text = (open_list + next_item.join(map(_json_str, value)) + close_list
+                        if value else "[]")
+            else:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            texts.append(text)
+        objects.append(template % tuple(texts))
     if single:
-        (objects,) = objects
-    return _JSON.encode(objects) + "\n"
+        (text,) = objects
+        return text + "\n"
+    if not objects:
+        return "[]\n"
+    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
 
 TRAJECTORY_HEADER = ["k", "p0", "p1", "p2"]
@@ -107,19 +153,13 @@ SWEEP_HEADER = [
 ]
 
 
-def _sweep_rows(rows):
-    for row in rows:
-        yield (row.v0, row.v1, row.v2, row.coordinate, row.rho_m, row.v_m, row.scenario,
-               row.predicted_limit, row.contraction_factor, row.simulated_limit, row.agreement,
-               row.flags)
-
-
+# A ``classify.SweepRow`` is already the row: its fields are this header, in order.
 def sweep_to_csv(rows):
-    return csv_text(SWEEP_HEADER, _sweep_rows(rows))
+    return csv_text(SWEEP_HEADER, rows)
 
 
 def sweep_to_json(rows):
-    return json_text(SWEEP_HEADER, _sweep_rows(rows))
+    return json_text(SWEEP_HEADER, rows)
 
 
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]

@@ -28,6 +28,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 INIT = ["--init", "0.5,0.3,0.2"]
 CYCLE_CELLS = ["--cells", "0.18,0.9,0.54;0.9,0.36,0.54;0.72,0.72,0.9;0.9,0.72,0.72"]
 GRID_5 = "-0.9:0.9:0.45"
+# Rows no grid case has: an overflowing (Infinity) and a NaN contraction
+# factor, Infinity/NaN parameters (invalid_params), no_equilibrium, a simulated
+# params_out_of_range cell and a boundary cell with two flags.
+NONFINITE_CELLS = ("1e200,1e200,1e200;1e200,-1e200,3;inf,0.1,0.1;nan,0.1,0.1;"
+                   "2,-0.3,0.7;0,0.5,0.5")
 
 CASES = {
     "equilibrium": ["equilibrium", "--v", "0.5,1,1"],
@@ -44,6 +49,8 @@ CASES = {
                             "--m", "0", *INIT, "--simulate"],
     "sweep_cycles": ["sweep", *CYCLE_CELLS, "--m", "0", *INIT, "--simulate"],
     "sweep_cycles_m2": ["sweep", *CYCLE_CELLS, "--m", "2", *INIT, "--simulate"],
+    "sweep_nonfinite": ["sweep", "--cells", NONFINITE_CELLS, *INIT, "--allow-out-of-range",
+                        "--simulate"],
     "stochastic_replications": ["stochastic", "--v", "0.1,0.1,0.1", *INIT, "--n", "1000",
                                 "--reps", "2", "--seed", "42", "--steps", "10"],
     "stochastic_lln": ["stochastic", "--v", "0.1,0.1,0.1", *INIT, "--n", "10,100,1000",

@@ -1,4 +1,5 @@
 import statistics
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,20 @@ def test_run_replications_independent_of_replication_count():
     for count in (1, 2, 5):
         fewer = run_replications(PARAMS, INIT, replace(cfg, replications=count))
         assert fewer == full[:count]
+
+
+@pytest.mark.parametrize("seed, other", [(2**63 + 1, 2**63 + 2), (2**64 - 1, 0)])
+def test_seeds_above_2_63_key_distinct_streams(seed, other):
+    # a key passed as a plain list became float64: these pairs collided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = replication_stream(seed, 0).integers(0, 2**63, 8).tolist()
+        other_draws = replication_stream(other, 0).integers(0, 2**63, 8).tolist()
+        cfg = SampleConfig(sample_volume=1000, replications=1, seed=seed, steps=5)
+        counts = run_replications(PARAMS, INIT, cfg)[0].counts
+        other_counts = run_replications(PARAMS, INIT, replace(cfg, seed=other))[0].counts
+    assert draws != other_draws
+    assert counts != other_counts
 
 
 # Plain loops the sampling layer must reproduce exactly: counts converted one

@@ -2,10 +2,16 @@ import csv
 import io
 import json
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ternary_dynamics import (
     DirectingParams,
     SampleConfig,
     SimplexPoint,
+    SweepRow,
     classify,
     compute_equilibrium,
     lln_diagnostic,
@@ -103,6 +109,17 @@ def test_replications_and_deviation_serialization():
     assert [row["n"] for row in payload] == [10, 100]
 
 
+# The stdlib encoder json_text must match byte for byte.
+REFERENCE = json.JSONEncoder(indent=2)
+
+
+def reference_json_text(header, rows, single=False):
+    objects = [dict(zip(header, row)) for row in rows]
+    if single:
+        (objects,) = objects
+    return REFERENCE.encode(objects) + "\n"
+
+
 def test_json_text_matches_json_dumps_byte_for_byte():
     header = ["k", "x", "flags"]
     for n in (0, 1, 2500):
@@ -112,3 +129,47 @@ def test_json_text_matches_json_dumps_byte_for_byte():
     assert serialize.json_text(header, [(1, 0.5, ())], single=True) == (
         json.dumps({"k": 1, "x": 0.5, "flags": []}, indent=2) + "\n"
     )
+
+
+# Every kind of value a table cell holds; st.floats() draws NaN, +-inf and -0.0.
+cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.text(),
+    st.lists(st.text(), max_size=3).map(tuple),
+)
+
+
+@st.composite
+def tables(draw):
+    header = draw(st.lists(st.text(), unique=True, max_size=6))
+    rows = draw(st.lists(st.tuples(*[cells] * len(header)), max_size=4))
+    return header, rows
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(table=tables())
+def test_json_text_matches_stdlib_encoder_on_any_table(table):
+    header, rows = table
+    assert serialize.json_text(header, rows) == reference_json_text(header, rows)
+    for row in rows:
+        assert (serialize.json_text(header, [row], single=True)
+                == reference_json_text(header, [row], single=True))
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1}, object()])
+def test_json_text_rejects_values_outside_a_table(value):
+    with pytest.raises(TypeError):
+        serialize.json_text(["x"], [(value,)])
+
+
+def test_json_text_rejects_repeated_column_names():
+    with pytest.raises(ValueError, match="distinct"):
+        serialize.json_text(["x", "x"], [(1, 2)])
+
+
+def test_sweep_row_fields_are_the_sweep_header():
+    assert SweepRow._fields == tuple(serialize.SWEEP_HEADER)
