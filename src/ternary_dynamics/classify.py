@@ -114,7 +114,7 @@ def classify(params, coordinate=0):
     """Scenario of one coordinate from the sign of v_m and the location of rho_m."""
     coordinate = _check_coordinate(coordinate)
     eq = compute_equilibrium(params)
-    v_m = tuple(params)[coordinate]
+    v_m = params[coordinate]
     rho_m = eq.rho[coordinate]
     flags = []
     if v_m == 0.0:
@@ -170,9 +170,8 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     window = _count(window, "window")
     if max_steps < 1 or window < 1:
         raise InvalidInputError("max_steps and window must be >= 1")
-    init = SimplexPoint.of(init)
+    state = SimplexPoint.of(init)
     rows = build_regression_matrix(params)
-    state = (init.p0, init.p1, init.p2)
     quiet = 0
     last_quiet = 0  # last step whose increment was within tol
     delta = float("inf")
@@ -217,7 +216,7 @@ def check_agreement(report, estimate, init, tol=1e-6):
     """
     if not tol > 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol!r}")
-    predicted = report.resolve_limit(tuple(init)[report.coordinate])
+    predicted = report.resolve_limit(init[report.coordinate])
     difference = abs(estimate.value - predicted)
     return AgreementCheck(
         agree=difference <= tol,
@@ -308,7 +307,7 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     if not agreement_tol > 0.0:
         raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
     init = SimplexPoint.of(init)
-    start = tuple(init)[coordinate]
+    start = init[coordinate]
     prepared = []
     for cell in cells:
         triple = tuple(map(float, cell))

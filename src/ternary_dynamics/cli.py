@@ -21,7 +21,6 @@ import tempfile
 from . import serialize
 from .classify import (
     BoundaryCaseError,
-    Scenario,
     UnresolvedPredictionError,
     classify,
     grid_cells,
@@ -32,7 +31,6 @@ from .core import (
     DirectingParams,
     InvalidInputError,
     NoEquilibriumError,
-    RawState,
     SimplexPoint,
     compute_equilibrium,
     trajectory,
@@ -268,11 +266,7 @@ def _cmd_equilibrium(args):
 
 def _cmd_simulate(args):
     params = _params_from(args)
-    if args.mode == "clamped":
-        init = SimplexPoint(*args.init)
-    else:
-        init = RawState(*args.init)
-    states = trajectory(params, init, args.steps, mode=args.mode)
+    states = trajectory(params, args.init, args.steps, mode=args.mode)
     if args.mode == "raw":
         for k, state in enumerate(states):
             if any(p < 0.0 or p > 1.0 for p in state):
@@ -298,14 +292,11 @@ def _cmd_classify(args):
         if not 0.0 <= args.p0 <= 1.0:
             raise InvalidInputError(f"--p0 must lie in [0, 1], got {args.p0!r}")
     report = classify(params, args.m)
-    initial_value = args.p0 if init is None else tuple(init)[report.coordinate]
-    if report.scenario is Scenario.REPULSIVE:
-        if initial_value is None:
-            predicted = "conditional"
-        else:
-            predicted = report.resolve_limit(initial_value)
+    initial_value = args.p0 if init is None else init[report.coordinate]
+    if report.predicted_limit is None and initial_value is None:
+        predicted = "conditional"
     else:
-        predicted = report.predicted_limit
+        predicted = report.resolve_limit(initial_value)
     flags = _range_flags(params)
     if args.format == "json":
         return serialize.classification_to_json(report, predicted, flags)
@@ -341,18 +332,17 @@ def _cmd_sweep(args):
 
 def _cmd_stochastic(args):
     params = _params_from(args)
-    init = SimplexPoint(*args.init)
     if not args.n:
         raise InvalidInputError("--n needs at least one sample volume")
     cfg = SampleConfig(
         sample_volume=args.n[0], replications=args.reps, seed=args.seed, steps=args.steps
     )
     if len(args.n) == 1:
-        trajectories = run_replications(params, init, cfg)
+        trajectories = run_replications(params, args.init, cfg)
         if args.format == "json":
             return serialize.replications_to_json(trajectories)
         return serialize.replications_to_csv(trajectories)
-    rows = lln_diagnostic(params, init, args.n, cfg)
+    rows = lln_diagnostic(params, args.init, args.n, cfg)
     if args.format == "json":
         return serialize.deviation_table_to_json(rows)
     return serialize.deviation_table_to_csv(rows)

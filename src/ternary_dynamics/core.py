@@ -11,11 +11,15 @@ components may leave ``[0, 1]``.  Two steppers are provided:
 * :func:`step_clamped` clips the result to ``[0, 1]``, renormalises, and
   snaps near-vertex states to the exact absorbing unit vector, so boundary
   limits 0 and 1 are reachable.
+
+The parameter, state and equilibrium types are immutable tuples that
+validate their components on construction; the steppers take and return
+them as they are.
 """
 
 import math
 import operator
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 
 BALANCE_TOL = 1e-12
 SINGULAR_REL_TOL = 1e-14
@@ -31,25 +35,42 @@ class InvalidInputError(ModelError, ValueError):
 
 
 class NoEquilibriumError(ModelError):
-    """No unique equilibrium: the denominator v1*v2 + v0*v2 + v0*v1 vanishes."""
+    """No unique equilibrium: the denominator v1*v2 + v0*v2 + v0*v1 vanishes or is not finite."""
 
 
 class DegenerateClampError(ModelError):
     """A clamped step clipped away all probability mass."""
 
 
-def _coerce_floats(obj, names):
-    # Written straight into the instance dict: the types are frozen dataclasses.
-    attrs = vars(obj)
-    values = tuple(map(float, map(attrs.__getitem__, names)))
-    attrs.update(zip(names, values))
+def _finite_floats(cls, values):
+    values = tuple(map(float, values))
     if not all(map(math.isfinite, values)):
-        raise InvalidInputError(f"{type(obj).__name__} components must be finite, got {values}")
+        raise InvalidInputError(f"{cls.__name__} components must be finite, got {values}")
     return values
 
 
-@dataclass(frozen=True)
-class DirectingParams:
+def _check_sum(values, total, noun):
+    # The tolerance scales with the largest component, so the check stays
+    # meaningful for diverging raw trajectories.
+    got = values[0] + values[1] + values[2]
+    if abs(got - total) > BALANCE_TOL * max(1.0, *map(abs, values)):
+        raise InvalidInputError(f"{noun} must sum to {total:g}, got sum {got!r}")
+
+
+class _Validated(tuple):
+    """Base of the value types, which validate in ``__new__`` and derive from a namedtuple.
+
+    ``_make``, and so ``_replace``, builds through ``__new__``, as copies and unpickling do.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class DirectingParams(_Validated, namedtuple("DirectingParams", "v0 v1 v2")):
     """Directing action parameters (v0, v1, v2).
 
     The model assumes ``|v_m| <= 1``; construction enforces the bound.
@@ -57,54 +78,48 @@ class DirectingParams:
     downstream flag such parameter sets).
     """
 
-    v0: float
-    v1: float
-    v2: float
-    bound_check: InitVar[bool] = True
+    __slots__ = ()
 
-    def __post_init__(self, bound_check):
-        values = _coerce_floats(self, ("v0", "v1", "v2"))
+    def __new__(cls, v0, v1, v2, bound_check=True):
+        values = _finite_floats(cls, (v0, v1, v2))
+        self = tuple.__new__(cls, values)
         if bound_check and not self.in_model_range:
             raise InvalidInputError(
                 f"directing parameters must satisfy |v_m| <= 1, got {values}; "
                 "pass bound_check=False to run outside the model range"
             )
+        return self
+
+    def __getnewargs__(self):
+        # The bound check is a choice made at construction and is not stored,
+        # so a copy of an instance built outside the range must skip it.
+        return (*self, False)
 
     @property
     def in_model_range(self):
         """True when every parameter lies in [-1, 1]."""
         return max(abs(self.v0), abs(self.v1), abs(self.v2)) <= 1.0
 
-    def __iter__(self):
-        yield self.v0
-        yield self.v1
-        yield self.v2
 
+class _Triple(_Validated):
+    """Validation shared by the three-component state types.
 
-class _Triple:
-    """Validation and iteration shared by the three-component state types.
-
-    Subclasses are frozen dataclasses with three float fields that must sum
-    to ``_total``.  The balance check scales with the largest component
-    magnitude, so it stays meaningful for diverging raw trajectories.
+    Subclasses also derive from a namedtuple of three float fields that
+    must sum to ``_total`` and, with ``_unit_interval``, lie in [0, 1].
     """
 
+    __slots__ = ()
     _total = 1.0
     _noun = "components"
+    _unit_interval = False
 
-    def __post_init__(self):
-        values = _coerce_floats(self, tuple(vars(self)))
-        self._check_range(values)
-        total = values[0] + values[1] + values[2]
-        tol = BALANCE_TOL * max(1.0, *map(abs, values))
-        if abs(total - self._total) > tol:
-            raise InvalidInputError(f"{self._noun} must sum to {self._total:g}, got sum {total!r}")
-
-    def _check_range(self, values):
-        """Per-type component bounds, checked before the balance."""
-
-    def __iter__(self):
-        return iter(vars(self).values())
+    def __new__(cls, *args, **kwargs):
+        # The namedtuple __new__ binds the field names and reports wrong arity.
+        values = _finite_floats(cls, super().__new__(cls, *args, **kwargs))
+        if cls._unit_interval and any(p < 0.0 or p > 1.0 for p in values):
+            raise InvalidInputError(f"{cls._noun} must lie in [0, 1], got {values}")
+        _check_sum(values, cls._total, cls._noun)
+        return tuple.__new__(cls, values)
 
     @classmethod
     def of(cls, state):
@@ -112,61 +127,40 @@ class _Triple:
         return state if isinstance(state, cls) else cls(*state)
 
 
-@dataclass(frozen=True)
-class SimplexPoint(_Triple):
+class SimplexPoint(_Triple, namedtuple("SimplexPoint", "p0 p1 p2")):
     """A probability triple: components in [0, 1] summing to 1."""
 
-    p0: float
-    p1: float
-    p2: float
-
+    __slots__ = ()
     _noun = "probabilities"
-
-    def _check_range(self, values):
-        if any(p < 0.0 or p > 1.0 for p in values):
-            raise InvalidInputError(f"probabilities must lie in [0, 1], got {values}")
+    _unit_interval = True
 
 
-@dataclass(frozen=True)
-class RawState(_Triple):
+class RawState(_Triple, namedtuple("RawState", "p0 p1 p2")):
     """A sum-one triple whose components may leave [0, 1]."""
 
-    p0: float
-    p1: float
-    p2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FluctuationVector(_Triple):
+class FluctuationVector(_Triple, namedtuple("FluctuationVector", "f0 f1 f2")):
     """Deviation of a state from equilibrium; components sum to 0."""
 
-    f0: float
-    f1: float
-    f2: float
-
+    __slots__ = ()
     _total = 0.0
     _noun = "fluctuations"
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(_Validated, namedtuple("Equilibrium", "rho0 rho1 rho2 v_denominator params")):
     """Stationary triple: the increment regression vanishes there.
 
     Components sum to 1 but may individually leave [0, 1].
     """
 
-    rho0: float
-    rho1: float
-    rho2: float
-    v_denominator: float
-    params: DirectingParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = _coerce_floats(self, ("rho0", "rho1", "rho2", "v_denominator"))
-        total = self.rho0 + self.rho1 + self.rho2
-        tol = BALANCE_TOL * max(1.0, *map(abs, values[:3]))
-        if abs(total - 1.0) > tol:
-            raise InvalidInputError(f"equilibrium components must sum to 1, got sum {total!r}")
+    def __new__(cls, rho0, rho1, rho2, v_denominator, params):
+        values = _finite_floats(cls, (rho0, rho1, rho2, v_denominator))
+        _check_sum(values[:3], 1.0, "equilibrium components")
+        return tuple.__new__(cls, (*values, params))
 
     @property
     def rho(self):
@@ -199,7 +193,8 @@ def compute_equilibrium(params):
 
     Raises :class:`NoEquilibriumError` when the denominator is zero relative
     to the largest pairwise product, so catastrophic cancellation never
-    manufactures a spurious equilibrium.
+    manufactures a spurious equilibrium, or when it is not finite (pairwise
+    products that overflow to opposite infinities sum to NaN).
     """
     v0, v1, v2 = params
     p12 = v1 * v2
@@ -207,9 +202,9 @@ def compute_equilibrium(params):
     p01 = v0 * v1
     denom = p12 + p02 + p01
     scale = max(abs(p12), abs(p02), abs(p01))
-    if abs(denom) <= SINGULAR_REL_TOL * scale:
+    if not abs(denom) > SINGULAR_REL_TOL * scale:
         raise NoEquilibriumError(
-            f"no unique equilibrium: V = {denom!r} (v1*v2 + v0*v2 + v0*v1 vanishes)"
+            f"no unique equilibrium: V = {denom!r} (v1*v2 + v0*v2 + v0*v1 is zero or not finite)"
         )
     return Equilibrium(
         rho0=p12 / denom,
@@ -265,7 +260,7 @@ def _clamped_step(rows, p):
 def step_raw(params, state):
     """One unclamped linear step; conserves the component sum only."""
     rows = build_regression_matrix(params)
-    return RawState(*_raw_step(rows, (state.p0, state.p1, state.p2)))
+    return RawState(*_raw_step(rows, state))
 
 
 def step_clamped(params, state):
@@ -277,7 +272,7 @@ def step_clamped(params, state):
     """
     state = SimplexPoint.of(state)
     rows = build_regression_matrix(params)
-    return SimplexPoint(*_clamped_step(rows, (state.p0, state.p1, state.p2)))
+    return SimplexPoint(*_clamped_step(rows, state))
 
 
 def _count(value, what):
@@ -306,15 +301,14 @@ def trajectory(params, init, steps, mode="raw"):
         wrap, advance = SimplexPoint, _clamped_step
     else:
         wrap, advance = RawState, _raw_step
-    first = wrap.of(init)
-    out = [first]
-    p = (first.p0, first.p1, first.p2)
+    p = wrap.of(init)
+    out = [p]
     for k in range(steps):
         try:
-            p = advance(rows, p)
-            out.append(wrap(*p))
+            p = wrap(*advance(rows, p))
         except ModelError as exc:
             raise type(exc)(f"step {k + 1}: {exc}") from exc
+        out.append(p)
     return out
 
 

@@ -87,7 +87,7 @@ def stochastic_step(params, freq, n, rng):
     if n < 1:
         raise InvalidInputError(f"sample volume must be >= 1, got {n}")
     target = step_clamped(params, freq)
-    c0, c1, c2 = rng.multinomial(n, (target.p0, target.p1, target.p2)).tolist()
+    c0, c1, c2 = rng.multinomial(n, target).tolist()
     return SimplexPoint(c0 / n, c1 / n, c2 / n)
 
 
@@ -105,7 +105,7 @@ def run_replications(params, init, cfg):
     trajectories = []
     for r in range(cfg.replications):
         rng = replication_stream(cfg.seed, r)
-        state = (init.p0, init.p1, init.p2)
+        state = init
         counts = []
         for k in range(cfg.steps):
             try:
@@ -119,7 +119,7 @@ def run_replications(params, init, cfg):
             replication=r,
             seed=cfg.seed,
             sample_volume=n,
-            init=(init.p0, init.p1, init.p2),
+            init=tuple(init),
             counts=tuple(counts),
         ))
     return tuple(trajectories)
@@ -148,7 +148,6 @@ def lln_diagnostic(params, init, volumes, cfg):
         raise InvalidInputError(f"sample volumes must be >= 1, got {volumes}")
     if any(b <= a for a, b in zip(volumes, volumes[1:])):
         raise InvalidInputError(f"volumes must be strictly increasing, got {volumes}")
-    init = SimplexPoint.of(init)
     flat_ref = list(chain.from_iterable(trajectory(params, init, cfg.steps, mode="clamped")))
 
     rows = []

@@ -100,7 +100,7 @@ TRAJECTORY_HEADER = ["k", "p0", "p1", "p2"]
 
 def _trajectory_rows(states):
     for k, s in enumerate(states):
-        yield k, s.p0, s.p1, s.p2
+        yield k, *s
 
 
 def trajectory_to_csv(states):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,15 @@ def test_sweep_records_cell_errors_as_markers():
     assert rows[1].rho_m == 0.0
     assert rows[2].scenario == "invalid_params"
     assert rows[3].scenario == "attractive"
+
+
+def test_sweep_nan_denominator_cell_is_a_marker_row():
+    cells = [(1e200, 1e200, -1e200), (0.1, 0.2, 0.3)]
+    rows = sweep(cells, 0, SimplexPoint(0.5, 0.3, 0.2), bound_check=False)
+    assert rows[0].scenario == "no_equilibrium"
+    assert math.isnan(rows[0].contraction_factor)
+    assert rows[0].flags == ("params_out_of_range",)
+    assert rows[1] == sweep(cells[1:], 0, SimplexPoint(0.5, 0.3, 0.2))[0]
 
 
 def test_sweep_out_of_range_cells_flagged_when_allowed():

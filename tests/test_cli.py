@@ -210,6 +210,24 @@ def test_classify_no_equilibrium_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "classify"])
+def test_nan_denominator_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--v", "1e200,1e200,-1e200", "--allow-out-of-range")
+    assert code == 3
+    assert out == ""
+    assert "V = nan" in err
+
+
+def test_sweep_continues_past_nan_denominator_cell(capsys):
+    code, out, _ = run(capsys, "sweep", "--cells", "1e200,1e200,-1e200;0.1,0.2,0.3",
+                       "--init", "0.5,0.3,0.2", "--allow-out-of-range")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["scenario"] for r in rows] == ["no_equilibrium", "attractive"]
+    assert rows[0]["contraction_factor"] == "nan"
+    assert rows[0]["flags"] == "params_out_of_range"
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_demo_grid(capsys):

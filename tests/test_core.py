@@ -205,6 +205,13 @@ def test_equilibrium_singular_denominator():
         compute_equilibrium(DirectingParams(0.2, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("v", [(1e200, 1e200, -1e200), (-1e200, 1e200, 1e200), (1e200, 1e200, 1e200)])
+def test_equilibrium_nonfinite_denominator(v):
+    # pairwise products overflow; with mixed signs their sum is NaN
+    with pytest.raises(NoEquilibriumError, match="not finite"):
+        compute_equilibrium(DirectingParams(*v, bound_check=False))
+
+
 def test_v_bar_accessor():
     eq = compute_equilibrium(DirectingParams(0.5, 1.0, 1.0))
     assert eq.v_bar == pytest.approx(4.0, abs=1e-14)
