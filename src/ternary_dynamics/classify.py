@@ -15,7 +15,6 @@ over a parameter grid.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -57,8 +56,7 @@ class Scenario(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     """Classification outcome for one coordinate.
 
     ``predicted_limit`` is ``None`` for the repulsive scenario, where the
@@ -83,8 +81,7 @@ class ScenarioReport:
         return 1.0 if initial_value > self.rho_m else 0.0
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """Terminal value of one coordinate under clamped iteration."""
 
     value: float
@@ -93,8 +90,7 @@ class LimitEstimate:
     terminal_delta: float
 
 
-@dataclass(frozen=True)
-class AgreementCheck:
+class AgreementCheck(NamedTuple):
     """Comparison of a classified prediction against a simulated limit."""
 
     agree: bool
@@ -287,7 +283,8 @@ def _evaluate_cell(cell, coordinate, init, start, simulate, bound_check, tol, ma
             if not estimate.converged:
                 flags.append("not_converged")
             if predicted is not None:
-                agreement = "agree" if abs(simulated - predicted) <= agreement_tol else "disagree"
+                check = check_agreement(report, estimate, init, tol=agreement_tol)
+                agreement = "agree" if check.agree else "disagree"
 
     return SweepRow(v0, v1, v2, coordinate, report.rho_m, v_m, report.scenario.value, predicted,
                     report.contraction_factor, simulated, agreement, tuple(sorted(flags)))

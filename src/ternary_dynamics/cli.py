@@ -332,8 +332,6 @@ def _cmd_sweep(args):
 
 def _cmd_stochastic(args):
     params = _params_from(args)
-    if not args.n:
-        raise InvalidInputError("--n needs at least one sample volume")
     cfg = SampleConfig(
         sample_volume=args.n[0], replications=args.reps, seed=args.seed, steps=args.steps
     )

@@ -58,7 +58,7 @@ def _check_sum(values, total, noun):
 
 
 class _Validated(tuple):
-    """Base of the value types, which validate in ``__new__`` and derive from a namedtuple.
+    """Base of the validated tuples: each validates in ``__new__`` and derives from a namedtuple.
 
     ``_make``, and so ``_replace``, builds through ``__new__``, as copies and unpickling do.
     """
@@ -217,7 +217,8 @@ def compute_equilibrium(params):
 
 def to_fluctuation(state, eq):
     """Componentwise deviation of a state from the equilibrium."""
-    return FluctuationVector(state.p0 - eq.rho0, state.p1 - eq.rho1, state.p2 - eq.rho2)
+    p0, p1, p2 = state
+    return FluctuationVector(p0 - eq.rho0, p1 - eq.rho1, p2 - eq.rho2)
 
 
 def _raw_step(rows, p):

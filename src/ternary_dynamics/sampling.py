@@ -11,8 +11,9 @@ generator state.
 
 import operator
 import statistics
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,24 +23,21 @@ from .core import (
     SimplexPoint,
     _clamped_step,
     _count,
+    _Validated,
     build_regression_matrix,
     step_clamped,
     trajectory,
 )
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(_Validated, namedtuple("SampleConfig", "sample_volume replications seed steps")):
     """Settings for stochastic replication runs."""
 
-    sample_volume: int
-    replications: int
-    seed: int
-    steps: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("sample_volume", "replications", "seed", "steps"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
+    def __new__(cls, sample_volume, replications, seed, steps):
+        values = (sample_volume, replications, seed, steps)
+        self = tuple.__new__(cls, map(_count, values, cls._fields))
         if self.sample_volume < 1:
             raise InvalidInputError(f"sample_volume must be >= 1, got {self.sample_volume}")
         if self.replications < 1:
@@ -48,10 +46,10 @@ class SampleConfig:
             raise InvalidInputError(f"steps must be >= 0, got {self.steps}")
         if not 0 <= self.seed < 2**64:
             raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        return self
 
 
-@dataclass(frozen=True)
-class EmpiricalTrajectory:
+class EmpiricalTrajectory(NamedTuple):
     """Frequencies observed along one stochastic replication.
 
     Stage 0 is the exact initial point; every later stage is integer draw
@@ -125,8 +123,7 @@ def run_replications(params, init, cfg):
     return tuple(trajectories)
 
 
-@dataclass(frozen=True)
-class DeviationRow:
+class DeviationRow(NamedTuple):
     """Median worst-case gap between stochastic and deterministic paths at one volume."""
 
     sample_volume: int
@@ -152,7 +149,7 @@ def lln_diagnostic(params, init, volumes, cfg):
 
     rows = []
     for n in volumes:
-        trajs = run_replications(params, init, replace(cfg, sample_volume=n))
+        trajs = run_replications(params, init, cfg._replace(sample_volume=n))
         deviations = [
             max(0.0, *map(abs, map(operator.sub, chain.from_iterable(traj.points), flat_ref)))
             for traj in trajs

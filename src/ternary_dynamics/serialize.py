@@ -4,9 +4,10 @@ Floats are written as the shortest decimal that parses back to the exact
 same double, so emitted files round-trip losslessly and identical runs
 produce byte-identical output.  CSV uses comma separators, ``\\n`` line
 endings and minimal quoting; JSON mirrors each table as a list of objects
-keyed by the column names.  Every table is a header plus the rows of one
-private row builder, emitted by :func:`csv_text` or :func:`json_text`; a
-tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
+keyed by the column names.  Every table is a header plus rows (the records
+themselves, or those of a private row builder), emitted by :func:`csv_text`
+or :func:`json_text`; a tuple cell (the ``flags`` column) is ``;``-joined in
+CSV and a list in JSON.
 """
 
 import csv
@@ -182,14 +183,11 @@ def replications_to_json(trajectories):
 DEVIATION_HEADER = ["n", "median_max_deviation", "replications"]
 
 
-def _deviation_rows(rows):
-    for r in rows:
-        yield r.sample_volume, r.median_max_deviation, r.replications
-
-
+# A ``sampling.DeviationRow`` is already the row: its fields are this header, in order
+# (``sample_volume`` is ``n``).
 def deviation_table_to_csv(rows):
-    return csv_text(DEVIATION_HEADER, _deviation_rows(rows))
+    return csv_text(DEVIATION_HEADER, rows)
 
 
 def deviation_table_to_json(rows):
-    return json_text(DEVIATION_HEADER, _deviation_rows(rows))
+    return json_text(DEVIATION_HEADER, rows)

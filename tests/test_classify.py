@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from ternary_dynamics import (
     grid_cells,
     sweep,
 )
+from ternary_dynamics.cli import _axis
 from ternary_dynamics.serialize import sweep_to_csv
 
 ATTRACTIVE = (0.1, 0.1, 0.1)
@@ -332,6 +334,19 @@ def test_sweep_deterministic_across_runs_and_sub_grids():
     for sub in (cells[::2], cells[5:], cells[3:4], cells[::-1]):
         picked = [base[cells.index(cell)] for cell in sub]
         assert sweep_to_csv(sweep(sub, 0, init, simulate=True)) == sweep_to_csv(picked)
+
+
+def test_sweep_reference_grid_counts_and_output():
+    # The 21^3 reference grid of ROADMAP.md; perfbench/roadmap_counts.py runs it through the CLI.
+    axis = _axis("-0.9:0.9:0.09")
+    rows = sweep(grid_cells(axis, axis, axis), 0, SimplexPoint(0.5, 0.3, 0.2), simulate=True)
+    assert len(rows) == 9261
+    assert sum(row.agreement is not None for row in rows) == 7537
+    assert sum(row.agreement == "disagree" for row in rows) == 2325
+    assert sum("not_converged" in row.flags for row in rows) == 470
+    assert hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest() == (
+        "20acd7d4201ea16bc8b3d84de406fbae274c8bf35a95d2abfe925d0d0bb2201b"
+    )
 
 
 def test_grid_cells_order():

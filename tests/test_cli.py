@@ -388,6 +388,17 @@ def test_stochastic_invalid_volume_exits_2(capsys):
     assert code == 2
 
 
+def test_stochastic_empty_volume_list_is_a_usage_error(tmp_path, capsys):
+    args = ("stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2", "--steps", "2")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=\n")
+    for extra in (("--n", ""), ("--config", str(cfg))):
+        code, out, err = run(capsys, *args, *extra)
+        assert code == 2
+        assert out == ""
+        assert "argument --n: expected comma-separated integers, got ''" in err
+
+
 # -------------------------------------------------------------------- config
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):

@@ -234,6 +234,15 @@ def test_fluctuation_componentwise_subtraction():
     assert tuple(f) == pytest.approx((1 / 6, -1 / 30, -2 / 15), abs=1e-15)
 
 
+def test_fluctuation_of_a_plain_triple_matches_the_state_type():
+    eq = compute_equilibrium(DirectingParams(0.5, 1.0, 1.0))
+    plain = to_fluctuation((0.5, 0.3, 0.2), eq)
+    for cls in (SimplexPoint, RawState):
+        assert repr(plain) == repr(to_fluctuation(cls(0.5, 0.3, 0.2), eq))
+    with pytest.raises(InvalidInputError, match="fluctuations must sum to 0"):
+        to_fluctuation((0.5, 0.3, 0.3), eq)
+
+
 def test_fluctuation_balance_random():
     rng = np.random.default_rng(102)
     done = 0

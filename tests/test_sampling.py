@@ -1,6 +1,5 @@
 import statistics
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,7 +124,7 @@ def test_run_replications_independent_of_replication_count():
     cfg = SampleConfig(sample_volume=200, replications=6, seed=11, steps=15)
     full = run_replications(PARAMS, INIT, cfg)
     for count in (1, 2, 5):
-        fewer = run_replications(PARAMS, INIT, replace(cfg, replications=count))
+        fewer = run_replications(PARAMS, INIT, cfg._replace(replications=count))
         assert fewer == full[:count]
 
 
@@ -138,7 +137,7 @@ def test_seeds_above_2_63_key_distinct_streams(seed, other):
         other_draws = replication_stream(other, 0).integers(0, 2**63, 8).tolist()
         cfg = SampleConfig(sample_volume=1000, replications=1, seed=seed, steps=5)
         counts = run_replications(PARAMS, INIT, cfg)[0].counts
-        other_counts = run_replications(PARAMS, INIT, replace(cfg, seed=other))[0].counts
+        other_counts = run_replications(PARAMS, INIT, cfg._replace(seed=other))[0].counts
     assert draws != other_draws
     assert counts != other_counts
 
@@ -174,7 +173,7 @@ def reference_lln_diagnostic(params, init, volumes, cfg):
     reference = [(s.p0, s.p1, s.p2) for s in trajectory(params, init, cfg.steps, mode="clamped")]
     rows = []
     for n in volumes:
-        trajs = reference_run_replications(params, init, replace(cfg, sample_volume=n))
+        trajs = reference_run_replications(params, init, cfg._replace(sample_volume=n))
         deviations = []
         for traj in trajs:
             worst = 0.0
