@@ -432,6 +432,96 @@ def test_config_errors(tmp_path, capsys):
     assert code == 2
 
 
+
+# ------------------------------------------------------------ argv spellings
+# Each entry of ``EQUIVALENT_SPELLINGS`` lists argvs that must print the same
+# stdout with exit 0; ``{name}`` stands for the path of ``CONFIG_FILES[name]``.
+
+CONFIG_FILES = {
+    "neg": "v=-0.2,0.5,-0.4\n",
+    "cells": "cells=-0.2,0.5,-0.4;0.1,0.1,0.1\ninit=0.5,0.3,0.2\nsimulate=true\n",
+    "badbool": "v=0.1,0.1,0.1\nallow-out-of-range=maybe\n",
+    "emptyn": "v=0.1,0.1,0.1\ninit=0.5,0.3,0.2\nsteps=2\nn=\n",
+    "nokv": "v 0.1,0.1,0.1\n",
+    "nokey": "=0.1\n",
+}
+NEG_CELLS = "-0.2,0.5,-0.4;0.1,0.1,0.1"
+
+EQUIVALENT_SPELLINGS = [
+    [
+        ("equilibrium", "--v", "-0.2,0.5,-0.4"),
+        ("equilibrium", "--v=-0.2,0.5,-0.4"),
+        ("equilibrium", "--config", "{neg}"),
+        ("equilibrium", "--config={neg}"),
+        ("--config", "{neg}", "equilibrium"),
+    ],
+    [
+        ("equilibrium", "--v", "-0.1,0.3,0.2"),
+        ("equilibrium", "--v", "-0.1,0.3,0.2", "--config", "{neg}"),
+        ("equilibrium", "--config", "{neg}", "--v", "-0.1,0.3,0.2"),
+        ("equilibrium", "--config={neg}", "--v=-0.1,0.3,0.2"),
+    ],
+    [
+        ("equilibrium", "--v", "0.1,0.1,0.1"),
+        ("equilibrium", "--v", "0.1,0.1,0.1", "--config", "{neg}"),
+        ("equilibrium", "--config", "{neg}", "--v", "0.1,0.1,0.1"),
+    ],
+    [
+        ("sweep", "--cells", NEG_CELLS, "--init", "0.5,0.3,0.2", "--simulate"),
+        ("sweep", f"--cells={NEG_CELLS}", "--init=0.5,0.3,0.2", "--simulate"),
+        ("sweep", "--config", "{cells}"),
+        ("sweep", "--config={cells}"),
+        ("--config", "{cells}", "sweep"),
+    ],
+    [
+        ("sweep", "--v0", "-0.3:0.3:0.1", "--v1", "0.2", "--v2", "-0.1", "--init", "0.5,0.3,0.2"),
+        ("sweep", "--v0=-0.3:0.3:0.1", "--v1", "0.2", "--v2=-0.1", "--init", "0.5,0.3,0.2"),
+    ],
+]
+
+ARGV_ERRORS = [
+    (("equilibrium", "--config", "{badbool}"), 2, "allow-out-of-range must be true or false"),
+    (("stochastic", "--config", "{emptyn}"), 2,
+     "argument --n: expected comma-separated integers, got ''"),
+    (("equilibrium", "--config", "{missing}"), 2, "cannot read config file"),
+    (("equilibrium", "--v", "0.1,0.1,0.1", "--config"), 2, "--config requires a file path"),
+    (("equilibrium", "--config", "{nokv}"), 2, ":1: expected key=value, got 'v 0.1,0.1,0.1'"),
+    (("equilibrium", "--config", "{nokey}"), 2, ":1: empty key"),
+    # joined into --v=-.5,1,1, which reaches the equilibrium check
+    (("equilibrium", "--v", "-.5,1,1"), 3, "no unique equilibrium"),
+]
+
+
+@pytest.fixture
+def config_paths(tmp_path):
+    paths = {"missing": str(tmp_path / "missing.cfg")}
+    for name, text in CONFIG_FILES.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("spellings", EQUIVALENT_SPELLINGS,
+                         ids=[" ".join(s[0]) for s in EQUIVALENT_SPELLINGS])
+def test_equivalent_argv_spellings_print_the_same(capsys, config_paths, spellings):
+    outputs = []
+    for argv in spellings:
+        code, out, err = run(capsys, *(a.format(**config_paths) for a in argv))
+        assert (code, err) == (0, ""), argv
+        outputs.append(out)
+    assert outputs[0]
+    assert outputs == [outputs[0]] * len(spellings)
+
+
+@pytest.mark.parametrize("argv, code, message", ARGV_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in ARGV_ERRORS])
+def test_argv_errors(capsys, config_paths, argv, code, message):
+    got, out, err = run(capsys, *(a.format(**config_paths) for a in argv))
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 # ------------------------------------------------------------ process level
 
 def test_module_entry_point_runs():
