@@ -140,6 +140,17 @@ def classify(params, coordinate=0):
     )
 
 
+def _check_limit_settings(tol, max_steps, window):
+    """``estimate_limit``'s checks of its stopping rule; returns ``max_steps`` and ``window``."""
+    if not tol > 0.0:
+        raise InvalidInputError(f"tol must be positive, got {tol!r}")
+    max_steps = _count(max_steps, "max_steps")
+    window = _count(window, "window")
+    if max_steps < 1 or window < 1:
+        raise InvalidInputError("max_steps and window must be >= 1")
+    return max_steps, window
+
+
 def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, window=DEFAULT_WINDOW):
     """Empirical limit of one coordinate under clamped iteration.
 
@@ -160,12 +171,7 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     within ``tol`` keeps the normal loop.
     """
     coordinate = _check_coordinate(coordinate)
-    if not tol > 0.0:
-        raise InvalidInputError(f"tol must be positive, got {tol!r}")
-    max_steps = _count(max_steps, "max_steps")
-    window = _count(window, "window")
-    if max_steps < 1 or window < 1:
-        raise InvalidInputError("max_steps and window must be >= 1")
+    max_steps, window = _check_limit_settings(tol, max_steps, window)
     state = SimplexPoint.of(init)
     rows = build_regression_matrix(params)
     quiet = 0
@@ -298,11 +304,13 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     ``invalid_params``) instead of aborting the sweep.  With ``simulate``
     the clamped limit is also estimated and compared to the prediction.
     Each row depends only on its own cell, so a sub-grid gives the same
-    rows as the matching rows of a larger grid.
+    rows as the matching rows of a larger grid.  ``tol``, ``max_steps`` and
+    ``agreement_tol`` are checked before the first cell, with or without ``simulate``.
     """
     coordinate = _check_coordinate(coordinate)
     if not agreement_tol > 0.0:
         raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
+    _check_limit_settings(tol, max_steps, DEFAULT_WINDOW)
     init = SimplexPoint.of(init)
     start = init[coordinate]
     prepared = []

@@ -187,61 +187,41 @@ def _config_flags(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise InvalidInputError(f"{path}:{lineno}: empty key")
+        if key == "config":
+            raise InvalidInputError(f"{path}:{lineno}: config cannot be set in a config file")
         if key in _BOOLEAN_KEYS:
             if value.lower() == "true":
                 flags.append(f"--{key}")
             elif value.lower() != "false":
                 raise InvalidInputError(f"{path}:{lineno}: {key} must be true or false")
         else:
-            flags.extend([f"--{key}", value])
+            flags.append(f"--{key}={value}")
     return flags
 
 
-def _merge_negative_values(argv):
-    """Join ``--flag -0.2,...`` into ``--flag=-0.2,...``.
+def _prepare_argv(argv):
+    """One pass over argv: take out ``--config FILE`` and join negative values.
 
-    argparse would otherwise read a value with a leading minus as an option
-    string; merging keeps negative numbers usable as plain flag values.
+    ``--flag -0.2,...`` becomes ``--flag=-0.2,...``; argparse would otherwise
+    read a value with a leading minus as an option string.  The config
+    file's flags, each a single ``--key=value`` token, go in after the
+    subcommand, so flags given on the command line win on conflict.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if (
-            arg.startswith("--")
-            and "=" not in arg
-            and i + 1 < len(argv)
-            and len(argv[i + 1]) > 1
-            and argv[i + 1][0] == "-"
-            and argv[i + 1][1] in "0123456789."
-        ):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(arg)
-        i += 1
-    return out
-
-
-def _apply_config(argv):
-    """Strip --config from argv and splice its flags in after the subcommand."""
-    out = []
     path = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
+    tokens = iter(argv)
+    for arg in tokens:
         if arg == "--config":
-            if i + 1 >= len(argv):
+            path = next(tokens, None)
+            if path is None:
                 raise InvalidInputError("--config requires a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--config="):
+        elif arg.startswith("--config="):
             path = arg.split("=", 1)[1]
-            i += 1
-            continue
-        out.append(arg)
-        i += 1
+        elif (out and out[-1].startswith("--") and "=" not in out[-1]
+              and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
     if path is None or not out:
         return out
     return out[:1] + _config_flags(path) + out[1:]
@@ -388,7 +368,7 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        argv = _merge_negative_values(_apply_config(argv))
+        argv = _prepare_argv(argv)
     except InvalidInputError as exc:
         return _fail(exc, EXIT_INVALID_INPUT)
     try:

@@ -30,6 +30,16 @@ from .core import (
 )
 
 
+def _sample_volume(n, what):
+    """``n`` as an int in ``[1, 2**63)``: numpy draws take the volume as int64."""
+    n = _count(n, what)
+    if n < 1:
+        raise InvalidInputError(f"{what} must be >= 1, got {n}")
+    if n >= 2**63:
+        raise InvalidInputError(f"{what} must be < 2**63, got {n}")
+    return n
+
+
 class SampleConfig(_Validated, namedtuple("SampleConfig", "sample_volume replications seed steps")):
     """Settings for stochastic replication runs."""
 
@@ -38,8 +48,7 @@ class SampleConfig(_Validated, namedtuple("SampleConfig", "sample_volume replica
     def __new__(cls, sample_volume, replications, seed, steps):
         values = (sample_volume, replications, seed, steps)
         self = tuple.__new__(cls, map(_count, values, cls._fields))
-        if self.sample_volume < 1:
-            raise InvalidInputError(f"sample_volume must be >= 1, got {self.sample_volume}")
+        _sample_volume(self.sample_volume, "sample_volume")
         if self.replications < 1:
             raise InvalidInputError(f"replications must be >= 1, got {self.replications}")
         if self.steps < 0:
@@ -81,9 +90,7 @@ def replication_stream(seed, replication):
 
 def stochastic_step(params, freq, n, rng):
     """One stochastic stage: clamped target, then empirical frequencies of n draws."""
-    n = _count(n, "sample volume")
-    if n < 1:
-        raise InvalidInputError(f"sample volume must be >= 1, got {n}")
+    n = _sample_volume(n, "sample volume")
     target = step_clamped(params, freq)
     c0, c1, c2 = rng.multinomial(n, target).tolist()
     return SimplexPoint(c0 / n, c1 / n, c2 / n)
@@ -138,11 +145,9 @@ def lln_diagnostic(params, init, volumes, cfg):
     stages and components of the absolute gap to the deterministic clamped
     trajectory; the table reports the median across replications.
     """
-    volumes = [_count(n, "sample volume") for n in volumes]
+    volumes = [_sample_volume(n, "sample volume") for n in volumes]
     if not volumes:
         raise InvalidInputError("volumes must be nonempty")
-    if any(n < 1 for n in volumes):
-        raise InvalidInputError(f"sample volumes must be >= 1, got {volumes}")
     if any(b <= a for a, b in zip(volumes, volumes[1:])):
         raise InvalidInputError(f"volumes must be strictly increasing, got {volumes}")
     flat_ref = list(chain.from_iterable(trajectory(params, init, cfg.steps, mode="clamped")))

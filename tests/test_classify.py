@@ -296,6 +296,21 @@ def test_sweep_records_cell_errors_as_markers():
     assert rows[3].scenario == "attractive"
 
 
+@pytest.mark.parametrize("simulate", [False, True])
+@pytest.mark.parametrize("cells", [[(2.0, 2.0, 2.0), (0.0, 0.1, 0.1)], []],
+                         ids=["unsimulated", "empty"])
+@pytest.mark.parametrize("settings, message", [
+    ({"tol": -1.0}, "tol must be positive, got -1.0"),
+    ({"tol": math.nan}, "tol must be positive, got nan"),
+    ({"max_steps": 0}, "max_steps and window must be >= 1"),
+    ({"max_steps": 1.5}, "max_steps must be an integer, got 1.5"),
+], ids=["tol-1", "tol-nan", "max_steps-0", "max_steps-1.5"])
+def test_sweep_checks_limit_settings_before_the_first_cell(cells, simulate, settings, message):
+    # no cell here reaches estimate_limit: out of range, boundary, or no cell at all
+    with pytest.raises(InvalidInputError, match=message):
+        sweep(cells, 0, SimplexPoint(0.5, 0.3, 0.2), simulate=simulate, **settings)
+
+
 def test_sweep_nan_denominator_cell_is_a_marker_row():
     cells = [(1e200, 1e200, -1e200), (0.1, 0.2, 0.3)]
     rows = sweep(cells, 0, SimplexPoint(0.5, 0.3, 0.2), bound_check=False)

@@ -302,6 +302,18 @@ def test_sweep_rejects_nonpositive_agreement_tol(capsys, tol):
     assert "agreement_tol" in err
 
 
+@pytest.mark.parametrize("cells", ["2,2,2", "0,0.1,0.1"])
+@pytest.mark.parametrize("setting, message", [
+    (("--tol", "-1"), "error: tol must be positive, got -1.0"),
+    (("--max-steps", "0"), "error: max_steps and window must be >= 1"),
+])
+def test_sweep_checks_tol_and_max_steps_when_no_cell_simulates(capsys, cells, setting, message):
+    code, out, err = run(capsys, "sweep", "--cells", cells, "--init", "0.5,0.3,0.2", "--simulate",
+                         *setting)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_output_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run(capsys, "equilibrium", "--v", "1,1,1", "--output", str(target))
@@ -388,6 +400,14 @@ def test_stochastic_invalid_volume_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("volumes", ["9223372036854775808", "10,9223372036854775808"])
+def test_stochastic_volume_of_2_63_exits_2(capsys, volumes):
+    code, out, err = run(capsys, "stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2",
+                         "--n", volumes, "--steps", "2")
+    assert (code, out) == (2, "")
+    assert "must be < 2**63, got 9223372036854775808" in err
+
+
 def test_stochastic_empty_volume_list_is_a_usage_error(tmp_path, capsys):
     args = ("stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2", "--steps", "2")
     cfg = tmp_path / "run.cfg"
@@ -421,6 +441,14 @@ def test_config_boolean_key(tmp_path, capsys):
     assert code == 0
     row = list(csv.reader(io.StringIO(out)))[1]
     assert row[10] == "agree"
+
+
+def test_config_file_cannot_name_another_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"v=0.1,0.1,0.1\nconfig={tmp_path / 'nonexistent.cfg'}\n")
+    code, out, err = run(capsys, "equilibrium", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"error: {cfg}:2: config cannot be set in a config file" in err
 
 
 def test_config_errors(tmp_path, capsys):

@@ -47,6 +47,8 @@ def reference_error(args):
     n, reps, seed, steps = values
     if n < 1:
         return f"sample_volume must be >= 1, got {n}"
+    if n >= 2**63:
+        return f"sample_volume must be < 2**63, got {n}"
     if reps < 1:
         return f"replications must be >= 1, got {reps}"
     if steps < 0:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ternary_dynamics.sampling
 from ternary_dynamics import (
     DeviationRow,
     DirectingParams,
@@ -79,6 +80,17 @@ def test_stochastic_step_mean_is_unbiased():
 def test_stochastic_step_requires_positive_volume():
     with pytest.raises(InvalidInputError):
         stochastic_step(PARAMS, INIT, 0, replication_stream(0, 0))
+
+
+def test_sample_volume_is_below_2_63():
+    # numpy takes the volume of a multinomial draw as int64
+    big = 2**63
+    with pytest.raises(InvalidInputError, match=rf"^sample_volume must be < 2\*\*63, got {big}$"):
+        SampleConfig(big, 1, 0, 1)
+    with pytest.raises(InvalidInputError, match=rf"^sample volume must be < 2\*\*63, got {big}$"):
+        stochastic_step(PARAMS, INIT, big, replication_stream(0, 0))
+    assert SampleConfig(big - 1, 1, 0, 1).sample_volume == big - 1
+    assert sum(stochastic_step(PARAMS, INIT, big - 1, replication_stream(0, 0))) == pytest.approx(1)
 
 
 # ------------------------------------------------------------- replications
@@ -276,6 +288,16 @@ def test_lln_diagnostic_volume_validation():
         lln_diagnostic(PARAMS, INIT, [1000, 10], cfg)
     with pytest.raises(InvalidInputError):
         lln_diagnostic(PARAMS, INIT, [0, 10], cfg)
+
+
+def test_lln_diagnostic_rejects_a_bad_volume_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("replications ran before every volume was checked")
+
+    monkeypatch.setattr(ternary_dynamics.sampling, "run_replications", fail)
+    cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=2)
+    with pytest.raises(InvalidInputError, match=r"sample volume must be < 2\*\*63"):
+        lln_diagnostic(PARAMS, INIT, [10, 2**63], cfg)
 
 
 def test_deviation_table_serialization_round():
