@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ternary_dynamics import (
     BoundaryCaseError,
+    DegenerateClampError,
     DirectingParams,
     InvalidInputError,
     LimitEstimate,
@@ -23,6 +25,8 @@ from ternary_dynamics import (
 )
 from ternary_dynamics.cli import _axis
 from ternary_dynamics.serialize import sweep_to_csv
+
+CLASSIFY = importlib.import_module("ternary_dynamics.classify")
 
 ATTRACTIVE = (0.1, 0.1, 0.1)
 REPULSIVE = (-0.2, 0.5, -0.4)
@@ -225,6 +229,14 @@ def test_agreement_disagree_carries_both_values():
     assert verdict.estimated_limit == 0.25
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_agreement_rejects_nonpositive_tol(tol):
+    report = classify(DirectingParams(*ATTRACTIVE), 0)
+    est = LimitEstimate(value=1 / 3, converged=True, steps_used=1, terminal_delta=0.0)
+    with pytest.raises(InvalidInputError, match="tol must be positive"):
+        check_agreement(report, est, SimplexPoint(0.5, 0.3, 0.2), tol=tol)
+
+
 def test_agreement_curated_families_match_predictions():
     # worked parameter sets plus 20 nearby triples each, simulated from the interior
     rng = np.random.default_rng(7)
@@ -318,6 +330,28 @@ def test_sweep_nan_denominator_cell_is_a_marker_row():
     assert math.isnan(rows[0].contraction_factor)
     assert rows[0].flags == ("params_out_of_range",)
     assert rows[1] == sweep(cells[1:], 0, SimplexPoint(0.5, 0.3, 0.2))[0]
+
+
+@pytest.mark.parametrize("cells", [[(0.1, 0.2)], [ATTRACTIVE, (0.1, 0.2)]],
+                         ids=["first", "second"])
+def test_sweep_rejects_a_cell_that_is_not_a_triple(cells):
+    with pytest.raises(InvalidInputError, match="grid cells must be triples"):
+        sweep(cells, 0, SimplexPoint(0.5, 0.3, 0.2))
+
+
+def test_sweep_degenerate_clamp_row_keeps_the_classification(monkeypatch):
+    def boom(rows, p):
+        raise DegenerateClampError("all mass clipped")
+
+    init = SimplexPoint(0.5, 0.3, 0.2)
+    classified = sweep(DEMO_CELLS, 0, init)
+    monkeypatch.setattr(CLASSIFY, "_clamped_step", boom)
+    rows = sweep(DEMO_CELLS, 0, init, simulate=True)
+    assert len(rows) == len(DEMO_CELLS)
+    for row, plain in zip(rows, classified):
+        assert row._replace(flags=()) == plain._replace(flags=())
+        assert (row.simulated_limit, row.agreement) == (None, None)
+        assert row.flags == ("degenerate_clamp",)
 
 
 def test_sweep_out_of_range_cells_flagged_when_allowed():

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import ternary_dynamics.cli
 import ternary_dynamics.core
 from ternary_dynamics import DegenerateClampError, classify, DirectingParams
 from ternary_dynamics.cli import main
@@ -268,6 +269,30 @@ def test_sweep_rejects_unbounded_axis_range(capsys, spec):
     assert "enumerates too many values" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("1:2", "expected NUMBER or START:STOP:STEP, got '1:2'"),
+    ("a:b:c", "expected NUMBER or START:STOP:STEP, got 'a:b:c'"),
+    ("1:0:0.1", "range '1:0:0.1' is empty"),
+])
+def test_sweep_rejects_malformed_axis_spec(capsys, spec, message):
+    code, out, err = run(capsys, "sweep", "--v0", spec, "--v1", "0.1", "--v2", "0.1",
+                         "--init", "0.5,0.3,0.2")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_sweep_rejects_too_large_grid_before_any_cell(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a cell was evaluated")
+
+    monkeypatch.setattr(ternary_dynamics.cli, "sweep", fail)
+    axis = "0:1:0.01"  # 101 values, so 1,030,301 cells
+    code, out, err = run(capsys, "sweep", "--v0", axis, "--v1", axis, "--v2", axis,
+                         "--init", "0.5,0.3,0.2")
+    assert (code, out) == (2, "")
+    assert "error: grid is too large" in err
+
+
 def test_sweep_axis_range_at_cell_limit_is_accepted():
     from ternary_dynamics.cli import MAX_GRID_CELLS, _axis
 
@@ -449,6 +474,19 @@ def test_config_file_cannot_name_another_config_file(tmp_path, capsys):
     code, out, err = run(capsys, "equilibrium", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert f"error: {cfg}:2: config cannot be set in a config file" in err
+
+
+def test_config_comments_and_blank_lines_are_skipped(tmp_path, capsys):
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("cells=0.1,0.1,0.1;-0.2,0.5,-0.4\ninit=0.5,0.3,0.2\nsimulate=true\n")
+    commented = tmp_path / "commented.cfg"
+    commented.write_text(
+        "# a demo sweep\n\ncells=0.1,0.1,0.1;-0.2,0.5,-0.4\n   \n"
+        "  # indented comment\ninit=0.5,0.3,0.2\n\nsimulate=true\n# end\n"
+    )
+    expected = run(capsys, "sweep", "--config", str(plain))
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, "sweep", "--config", str(commented)) == expected
 
 
 def test_config_errors(tmp_path, capsys):
