@@ -181,7 +181,9 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     # whenever ``lam`` reaches ``power``, and ``power`` doubles.
     saved = state
     power = lam = 1
-    for k in range(1, max_steps + 1):
+    k = 0
+    while k < max_steps:
+        k += 1
         nxt = _clamped_step(rows, state)
         delta = max(abs(nxt[0] - state[0]), abs(nxt[1] - state[1]), abs(nxt[2] - state[2]))
         state = nxt
@@ -196,12 +198,7 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
             quiet = 0
         if state == saved:
             if last_quiet <= k - lam:
-                for _ in range((max_steps - k) % lam):
-                    nxt = _clamped_step(rows, state)
-                    delta = max(abs(nxt[0] - state[0]), abs(nxt[1] - state[1]),
-                                abs(nxt[2] - state[2]))
-                    state = nxt
-                break
+                k = max_steps - (max_steps - k) % lam
         elif lam == power:
             saved = state
             power *= 2
@@ -250,52 +247,6 @@ def grid_cells(v0_values, v1_values, v2_values):
     return [(a, b, c) for a in v0_values for b in v1_values for c in v2_values]
 
 
-def _evaluate_cell(cell, coordinate, init, start, simulate, bound_check, tol, max_steps,
-                   agreement_tol):
-    """The row of one cell; ``start`` is ``init``'s value at ``coordinate``."""
-    v0, v1, v2 = cell
-    v_m = cell[coordinate]
-    try:
-        params = DirectingParams(v0, v1, v2, bound_check=bound_check)
-    except InvalidInputError:
-        return SweepRow(v0, v1, v2, coordinate, None, v_m, "invalid_params", None, None, None,
-                        None, ())
-    flags = [] if params.in_model_range else ["params_out_of_range"]
-
-    try:
-        report = classify(params, coordinate)
-    except NoEquilibriumError:
-        return SweepRow(v0, v1, v2, coordinate, None, v_m, "no_equilibrium", None,
-                        contraction_factor(params), None, None, tuple(flags))
-    except BoundaryCaseError as exc:
-        flags.extend(exc.flags)
-        return SweepRow(v0, v1, v2, coordinate, exc.rho_m, v_m, "boundary", None,
-                        contraction_factor(params), None, None, tuple(sorted(flags)))
-
-    try:
-        predicted = report.resolve_limit(start)
-    except UnresolvedPredictionError:
-        flags.append("unresolved_prediction")
-        predicted = None
-
-    simulated = agreement = None
-    if simulate:
-        try:
-            estimate = estimate_limit(params, init, coordinate, tol=tol, max_steps=max_steps)
-        except DegenerateClampError:
-            flags.append("degenerate_clamp")
-        else:
-            simulated = estimate.value
-            if not estimate.converged:
-                flags.append("not_converged")
-            if predicted is not None:
-                check = check_agreement(report, estimate, init, tol=agreement_tol)
-                agreement = "agree" if check.agree else "disagree"
-
-    return SweepRow(v0, v1, v2, coordinate, report.rho_m, v_m, report.scenario.value, predicted,
-                    report.contraction_factor, simulated, agreement, tuple(sorted(flags)))
-
-
 def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=False, *,
           bound_check=True, tol=1e-10, max_steps=10000, agreement_tol=1e-6):
     """Classify every parameter triple in ``cells``; one row per cell, in input order.
@@ -305,7 +256,8 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     the clamped limit is also estimated and compared to the prediction.
     Each row depends only on its own cell, so a sub-grid gives the same
     rows as the matching rows of a larger grid.  ``tol``, ``max_steps`` and
-    ``agreement_tol`` are checked before the first cell, with or without ``simulate``.
+    ``agreement_tol`` are checked before the first cell, with or without ``simulate``;
+    a cell that is not a triple raises :class:`InvalidInputError` when the loop reaches it.
     """
     coordinate = _check_coordinate(coordinate)
     if not agreement_tol > 0.0:
@@ -313,15 +265,54 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     _check_limit_settings(tol, max_steps, DEFAULT_WINDOW)
     init = SimplexPoint.of(init)
     start = init[coordinate]
-    prepared = []
+    rows = []
     for cell in cells:
         triple = tuple(map(float, cell))
         if len(triple) != 3:
             raise InvalidInputError(f"grid cells must be triples, got {cell!r}")
-        prepared.append(triple)
+        v0, v1, v2 = triple
+        v_m = triple[coordinate]
+        try:
+            params = DirectingParams(v0, v1, v2, bound_check=bound_check)
+        except InvalidInputError:
+            rows.append(SweepRow(v0, v1, v2, coordinate, None, v_m, "invalid_params", None, None,
+                                 None, None, ()))
+            continue
+        flags = [] if params.in_model_range else ["params_out_of_range"]
 
-    return [
-        _evaluate_cell(triple, coordinate, init, start, simulate, bound_check, tol, max_steps,
-                       agreement_tol)
-        for triple in prepared
-    ]
+        try:
+            report = classify(params, coordinate)
+        except NoEquilibriumError:
+            rows.append(SweepRow(v0, v1, v2, coordinate, None, v_m, "no_equilibrium", None,
+                                 contraction_factor(params), None, None, tuple(flags)))
+            continue
+        except BoundaryCaseError as exc:
+            flags.extend(exc.flags)
+            rows.append(SweepRow(v0, v1, v2, coordinate, exc.rho_m, v_m, "boundary", None,
+                                 contraction_factor(params), None, None, tuple(sorted(flags))))
+            continue
+
+        try:
+            predicted = report.resolve_limit(start)
+        except UnresolvedPredictionError:
+            flags.append("unresolved_prediction")
+            predicted = None
+
+        simulated = agreement = None
+        if simulate:
+            try:
+                estimate = estimate_limit(params, init, coordinate, tol=tol, max_steps=max_steps)
+            except DegenerateClampError:
+                flags.append("degenerate_clamp")
+            else:
+                simulated = estimate.value
+                if not estimate.converged:
+                    flags.append("not_converged")
+                if predicted is not None:
+                    check = check_agreement(report, estimate, init, tol=agreement_tol)
+                    agreement = "agree" if check.agree else "disagree"
+
+        rows.append(SweepRow(v0, v1, v2, coordinate, report.rho_m, v_m, report.scenario.value,
+                             predicted, report.contraction_factor, simulated, agreement,
+                             tuple(sorted(flags))))
+    return rows
