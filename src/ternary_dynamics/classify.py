@@ -253,7 +253,9 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
 
     Cell-level failures become row markers (``no_equilibrium``, ``boundary``,
     ``invalid_params``) instead of aborting the sweep.  With ``simulate``
-    the clamped limit is also estimated and compared to the prediction.
+    the clamped limit is also estimated and compared to the prediction; a
+    cell whose limit cannot be estimated keeps its classification and is
+    flagged ``degenerate_clamp`` or ``matrix_overflow``.
     Each row depends only on its own cell, so a sub-grid gives the same
     rows as the matching rows of a larger grid.  ``tol``, ``max_steps`` and
     ``agreement_tol`` are checked before the first cell, with or without ``simulate``;
@@ -304,6 +306,9 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
                 estimate = estimate_limit(params, init, coordinate, tol=tol, max_steps=max_steps)
             except DegenerateClampError:
                 flags.append("degenerate_clamp")
+            except InvalidInputError:
+                # After the checks above, the only source: 2*v_n overflows in the matrix.
+                flags.append("matrix_overflow")
             else:
                 simulated = estimate.value
                 if not estimate.converged:

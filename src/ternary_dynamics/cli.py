@@ -375,17 +375,18 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID_INPUT if exc.code is None else int(exc.code)
+    if args.config is not None:
+        # _prepare_argv took out --config in full, so argparse matched an abbreviation
+        return _fail("--config must be spelled in full, not abbreviated", EXIT_INVALID_INPUT)
     try:
         text = _COMMANDS[args.command](args)
-    except InvalidInputError as exc:
-        return _fail(exc, EXIT_INVALID_INPUT)
     except NoEquilibriumError as exc:
         return _fail(exc, EXIT_NO_EQUILIBRIUM)
     except DegenerateClampError as exc:
         return _fail(exc, EXIT_DEGENERATE_CLAMP)
     except (BoundaryCaseError, UnresolvedPredictionError) as exc:
         return _fail(exc, EXIT_BOUNDARY)
-    except ValueError as exc:
+    except ValueError as exc:  # InvalidInputError included
         return _fail(exc, EXIT_INVALID_INPUT)
     if args.output in (None, "-"):
         sys.stdout.write(text)

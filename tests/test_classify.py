@@ -354,6 +354,20 @@ def test_sweep_degenerate_clamp_row_keeps_the_classification(monkeypatch):
         assert row.flags == ("degenerate_clamp",)
 
 
+@pytest.mark.parametrize("cell", [(1e308, 0.5, 0.3), (-1e308, 0.5, 0.3)])
+def test_sweep_matrix_overflow_row_keeps_the_classification(cell):
+    # 2*v_m overflows in the regression matrix; classify still works
+    cells = [ATTRACTIVE, cell, REPULSIVE]
+    init = SimplexPoint(0.5, 0.3, 0.2)
+    classified = sweep(cells, 1, init, bound_check=False)
+    rows = sweep(cells, 1, init, simulate=True, bound_check=False)
+    assert rows[1]._replace(flags=()) == classified[1]._replace(flags=())
+    assert (rows[1].simulated_limit, rows[1].agreement) == (None, None)
+    assert rows[1].flags == ("matrix_overflow", "params_out_of_range")
+    for i in (0, 2):
+        assert rows[i] == sweep([cells[i]], 1, init, simulate=True)[0]
+
+
 def test_sweep_out_of_range_cells_flagged_when_allowed():
     rows = sweep([(2.0, 1.0, 1.0)], 0, SimplexPoint(0.5, 0.3, 0.2), bound_check=False)
     assert rows[0].scenario in {"attractive", "repulsive", "dominant", "degenerate"}

@@ -269,6 +269,20 @@ def test_sweep_rejects_unbounded_axis_range(capsys, spec):
     assert "enumerates too many values" in err
 
 
+def test_sweep_simulate_continues_past_matrix_overflow_cell(capsys):
+    argv = ["sweep", "--cells", "0.1,0.1,0.1;1e308,0.5,0.3", "--m", "1",
+            "--init", "0.5,0.3,0.2", "--allow-out-of-range"]
+    code, classified, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--simulate")
+    assert (code, err) == (0, "")
+    header, first, second = out.splitlines()
+    assert first.endswith(",agree,")
+    classification = "1e+308,0.5,0.3,1,0.375,0.5,attractive,0.375,inf"
+    assert second == classification + ",,,matrix_overflow;params_out_of_range"
+    assert classified.splitlines()[2] == classification + ",,,params_out_of_range"
+
+
 @pytest.mark.parametrize("spec, message", [
     ("1:2", "expected NUMBER or START:STOP:STEP, got '1:2'"),
     ("a:b:c", "expected NUMBER or START:STOP:STEP, got 'a:b:c'"),
@@ -586,6 +600,21 @@ def test_argv_errors(capsys, config_paths, argv, code, message):
     got, out, err = run(capsys, *(a.format(**config_paths) for a in argv))
     assert (got, out) == (code, "")
     assert message in err
+
+
+@pytest.mark.parametrize("spelling", [("--conf", "{missing}"), ("--confi={missing}",)],
+                         ids=["--conf F", "--confi=F"])
+def test_abbreviated_config_is_an_error(capsys, config_paths, spelling):
+    argv = ["equilibrium", "--v", "0.1,0.1,0.1", *(a.format(**config_paths) for a in spelling)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--config must be spelled in full" in err
+
+
+def test_help_still_lists_config(capsys):
+    code, out, _ = run(capsys, "equilibrium", "--help")
+    assert code == 0
+    assert "--config FILE" in out
 
 
 # ------------------------------------------------------------ process level
