@@ -1,8 +1,9 @@
 """Byte-for-byte CLI outputs pinned in ``tests/golden/``.
 
 Each case runs ``main(argv + ["--format", fmt])`` in process and compares
-stdout with ``tests/golden/<name>.<fmt>``; one case also runs as a child
-process so the real stdout stream is checked.  The cycle cases cover
+what it writes, to stdout and to an ``--output`` file, with
+``tests/golden/<name>.<fmt>``; one case also runs as a child process so the
+real stdout stream is checked.  The cycle cases cover
 period-4 orbits (``0.18,0.9,0.54`` and ``0.9,0.36,0.54``, locked in after
 ~35 steps) and slow period-2 orbits (``0.72,0.72,0.9`` and
 ``0.9,0.72,0.72``, locked in after ~2,900 steps) at several ``--max-steps``
@@ -81,10 +82,21 @@ def _golden_path(name, fmt):
     return GOLDEN_DIR / f"{name}.{fmt}"
 
 
-@pytest.mark.parametrize("name, fmt", GOLDEN)
-def test_cli_stdout_matches_golden(name, fmt):
+# Each case goes to stdout and to an --output file; the stdout ids stay "<name>-<fmt>".
+DESTINATIONS = [pytest.param(name, fmt, to_file, id=f"{name}-{fmt}" + ("-file" if to_file else ""))
+                for name, fmt in GOLDEN for to_file in (False, True)]
+
+
+@pytest.mark.parametrize("name, fmt, to_file", DESTINATIONS)
+def test_cli_stdout_matches_golden(name, fmt, to_file, tmp_path):
     expected = _golden_path(name, fmt).read_bytes()
-    assert _stdout([*CASES[name], "--format", fmt]) == expected
+    argv = [*CASES[name], "--format", fmt]
+    if not to_file:
+        assert _stdout(argv) == expected
+        return
+    path = tmp_path / "file"
+    assert _stdout([*argv, "--output", str(path)]) == b""
+    assert path.read_bytes() == expected
 
 
 def test_cli_process_stdout_matches_golden():
