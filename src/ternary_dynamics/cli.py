@@ -3,8 +3,10 @@
 Subcommands: ``equilibrium``, ``simulate``, ``classify``, ``sweep``,
 ``stochastic``.  Data goes to stdout (or ``--output PATH``, written
 atomically via a temp file) in CSV or JSON; diagnostics go to stderr so
-pipelines stay clean.  Exit codes: 0 success, 2 invalid input, 3 no
-equilibrium, 4 degenerate clamp, 5 boundary classification.
+pipelines stay clean.  Each command computes all of its rows, then returns
+the emitter that writes them, so a run that fails writes no data.  Exit
+codes: 0 success, 2 invalid input, 3 no equilibrium, 4 degenerate clamp,
+5 boundary classification.
 
 A ``--config FILE`` of ``key=value`` lines (keys are the long flag names
 without the leading dashes) supplies defaults for any flag of the chosen
@@ -239,9 +241,8 @@ def _cmd_equilibrium(args):
     params = _params_from(args)
     eq = compute_equilibrium(params)
     flags = _range_flags(params)
-    if args.format == "json":
-        return serialize.equilibrium_to_json(eq, flags)
-    return serialize.equilibrium_to_csv(eq, flags)
+    emit = serialize.equilibrium_to_json if args.format == "json" else serialize.equilibrium_to_csv
+    return lambda out: emit(out, eq, flags)
 
 
 def _cmd_simulate(args):
@@ -256,9 +257,8 @@ def _cmd_simulate(args):
                     file=sys.stderr,
                 )
                 break
-    if args.format == "json":
-        return serialize.trajectory_to_json(states)
-    return serialize.trajectory_to_csv(states)
+    emit = serialize.trajectory_to_json if args.format == "json" else serialize.trajectory_to_csv
+    return lambda out: emit(out, states)
 
 
 def _cmd_classify(args):
@@ -278,9 +278,9 @@ def _cmd_classify(args):
     else:
         predicted = report.resolve_limit(initial_value)
     flags = _range_flags(params)
-    if args.format == "json":
-        return serialize.classification_to_json(report, predicted, flags)
-    return serialize.classification_to_csv(report, predicted, flags)
+    emit = (serialize.classification_to_json if args.format == "json"
+            else serialize.classification_to_csv)
+    return lambda out: emit(out, report, predicted, flags)
 
 
 def _cmd_sweep(args):
@@ -305,9 +305,8 @@ def _cmd_sweep(args):
         max_steps=args.max_steps,
         agreement_tol=args.agreement_tol,
     )
-    if args.format == "json":
-        return serialize.sweep_to_json(rows)
-    return serialize.sweep_to_csv(rows)
+    emit = serialize.sweep_to_json if args.format == "json" else serialize.sweep_to_csv
+    return lambda out: emit(out, rows)
 
 
 def _cmd_stochastic(args):
@@ -315,15 +314,14 @@ def _cmd_stochastic(args):
     cfg = SampleConfig(
         sample_volume=args.n[0], replications=args.reps, seed=args.seed, steps=args.steps
     )
+    as_json = args.format == "json"
     if len(args.n) == 1:
-        trajectories = run_replications(params, args.init, cfg)
-        if args.format == "json":
-            return serialize.replications_to_json(trajectories)
-        return serialize.replications_to_csv(trajectories)
-    rows = lln_diagnostic(params, args.init, args.n, cfg)
-    if args.format == "json":
-        return serialize.deviation_table_to_json(rows)
-    return serialize.deviation_table_to_csv(rows)
+        rows = run_replications(params, args.init, cfg)
+        emit = serialize.replications_to_json if as_json else serialize.replications_to_csv
+    else:
+        rows = lln_diagnostic(params, args.init, args.n, cfg)
+        emit = serialize.deviation_table_to_json if as_json else serialize.deviation_table_to_csv
+    return lambda out: emit(out, rows)
 
 
 _COMMANDS = {
@@ -335,12 +333,12 @@ _COMMANDS = {
 }
 
 
-def _write_file(text, path):
+def _write_file(emit, path):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".ternary-dynamics-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            emit(fh)
         # mkstemp creates the file 0600; give it the mode open(path, "w") would:
         # an existing file keeps its mode, a new one gets 0666 minus the umask.
         try:
@@ -379,7 +377,7 @@ def main(argv=None):
         # _prepare_argv took out --config in full, so argparse matched an abbreviation
         return _fail("--config must be spelled in full, not abbreviated", EXIT_INVALID_INPUT)
     try:
-        text = _COMMANDS[args.command](args)
+        emit = _COMMANDS[args.command](args)
     except NoEquilibriumError as exc:
         return _fail(exc, EXIT_NO_EQUILIBRIUM)
     except DegenerateClampError as exc:
@@ -389,10 +387,10 @@ def main(argv=None):
     except ValueError as exc:  # InvalidInputError included
         return _fail(exc, EXIT_INVALID_INPUT)
     if args.output in (None, "-"):
-        sys.stdout.write(text)
+        emit(sys.stdout)
         return EXIT_OK
     try:
-        _write_file(text, args.output)
+        _write_file(emit, args.output)
     except OSError as exc:
         return _fail(f"cannot write output {args.output!r}: {exc.strerror or exc}",
                      EXIT_INVALID_INPUT)

@@ -5,13 +5,13 @@ same double, so emitted files round-trip losslessly and identical runs
 produce byte-identical output.  CSV uses comma separators, ``\\n`` line
 endings and minimal quoting; JSON mirrors each table as a list of objects
 keyed by the column names.  Every table is a header plus rows (the records
-themselves, or those of a private row builder), emitted by :func:`csv_text`
-or :func:`json_text`; a tuple cell (the ``flags`` column) is ``;``-joined in
-CSV and a list in JSON.
+themselves, or those of a private row builder), written by :func:`csv_text`
+or :func:`json_text` to an open text stream, one row at a time as it is
+formatted; no emitter builds or returns the document.  A tuple cell (the
+``flags`` column) is ``;``-joined in CSV and a list in JSON.
 """
 
 import csv
-import io
 from json.encoder import encode_basestring_ascii as _json_str
 
 _float_repr = float.__repr__
@@ -34,39 +34,41 @@ def _cell(value):
     return format_float(value)
 
 
-def csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def csv_text(out, header, rows):
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
 
 
-def json_text(header, rows, single=False):
-    """A list of objects keyed by ``header``, or the one object when ``single``.
+def json_text(out, header, rows, single=False):
+    """Write a list of objects keyed by ``header``, or the one object when ``single``.
 
     The text is byte-identical to ``json.JSONEncoder(indent=2).encode`` of
     ``[dict(zip(header, row)) for row in rows]`` (or of the one object) plus
     a newline, for the values a table holds: ``None``, ``bool``, ``int``,
     ``float`` (``NaN``/``Infinity``/``-Infinity`` as :mod:`json` writes
     them), ``str`` and a tuple of ``str``.  Any other value raises
-    :class:`TypeError`.  Column names must be distinct, and each row has one
-    value per column.
+    :class:`TypeError`.  Column names must be distinct, each row has one
+    value per column, and a ``single`` table has exactly one row; the last
+    two are checked before anything is written.
 
-    Each object is formatted as one string and the document is joined once.
+    Each object is formatted as one string and written with its separator.
     With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
     per token, millions of them for a large sweep.
     """
     if len(set(header)) != len(header):
         raise ValueError(f"column names must be distinct, got {header!r}")
+    if single:
+        (row,) = rows
+        rows = [row]
     pad = "" if single else "  "
     fields = ",".join(f"\n{pad}  " + _json_str(key).replace("%", "%%") + ": %s" for key in header)
     template = "{" + fields + (f"\n{pad}}}" if header else "}")
     open_list = f"[\n{pad}    "
     next_item = f",\n{pad}    "
     close_list = f"\n{pad}  ]"
-    objects = []
+    separator = "" if single else "[\n  "
     for row in rows:
         texts = []
         for value in row:
@@ -87,13 +89,10 @@ def json_text(header, rows, single=False):
             else:
                 raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
             texts.append(text)
-        objects.append(template % tuple(texts))
-    if single:
-        (text,) = objects
-        return text + "\n"
-    if not objects:
-        return "[]\n"
-    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
+        out.write(separator + template % tuple(texts))
+        separator = ",\n  "
+    # separator is still the opening bracket when the list has no row
+    out.write("\n" if single else "[]\n" if separator == "[\n  " else "\n]\n")
 
 
 TRAJECTORY_HEADER = ["k", "p0", "p1", "p2"]
@@ -104,12 +103,12 @@ def _trajectory_rows(states):
         yield k, *s
 
 
-def trajectory_to_csv(states):
-    return csv_text(TRAJECTORY_HEADER, _trajectory_rows(states))
+def trajectory_to_csv(out, states):
+    csv_text(out, TRAJECTORY_HEADER, _trajectory_rows(states))
 
 
-def trajectory_to_json(states):
-    return json_text(TRAJECTORY_HEADER, _trajectory_rows(states))
+def trajectory_to_json(out, states):
+    json_text(out, TRAJECTORY_HEADER, _trajectory_rows(states))
 
 
 EQUILIBRIUM_HEADER = ["rho0", "rho1", "rho2", "v", "v_bar", "flags"]
@@ -121,12 +120,12 @@ def _equilibrium_rows(eq, flags):
     yield eq.rho0, eq.rho1, eq.rho2, eq.v_denominator, v_bar, tuple(flags)
 
 
-def equilibrium_to_csv(eq, flags=()):
-    return csv_text(EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags))
+def equilibrium_to_csv(out, eq, flags=()):
+    csv_text(out, EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags))
 
 
-def equilibrium_to_json(eq, flags=()):
-    return json_text(EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags), single=True)
+def equilibrium_to_json(out, eq, flags=()):
+    json_text(out, EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags), single=True)
 
 
 CLASSIFICATION_HEADER = [
@@ -139,13 +138,13 @@ def _classification_rows(report, predicted, flags):
            report.contraction_factor, tuple(flags))
 
 
-def classification_to_csv(report, predicted, flags=()):
-    return csv_text(CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags))
+def classification_to_csv(out, report, predicted, flags=()):
+    csv_text(out, CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags))
 
 
-def classification_to_json(report, predicted, flags=()):
-    return json_text(CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags),
-                     single=True)
+def classification_to_json(out, report, predicted, flags=()):
+    json_text(out, CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags),
+              single=True)
 
 
 SWEEP_HEADER = [
@@ -155,12 +154,12 @@ SWEEP_HEADER = [
 
 
 # A ``classify.SweepRow`` is already the row: its fields are this header, in order.
-def sweep_to_csv(rows):
-    return csv_text(SWEEP_HEADER, rows)
+def sweep_to_csv(out, rows):
+    csv_text(out, SWEEP_HEADER, rows)
 
 
-def sweep_to_json(rows):
-    return json_text(SWEEP_HEADER, rows)
+def sweep_to_json(out, rows):
+    json_text(out, SWEEP_HEADER, rows)
 
 
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]
@@ -172,12 +171,12 @@ def _replication_rows(trajectories):
             yield traj.replication, k, point[0], point[1], point[2]
 
 
-def replications_to_csv(trajectories):
-    return csv_text(REPLICATION_HEADER, _replication_rows(trajectories))
+def replications_to_csv(out, trajectories):
+    csv_text(out, REPLICATION_HEADER, _replication_rows(trajectories))
 
 
-def replications_to_json(trajectories):
-    return json_text(REPLICATION_HEADER, _replication_rows(trajectories))
+def replications_to_json(out, trajectories):
+    json_text(out, REPLICATION_HEADER, _replication_rows(trajectories))
 
 
 DEVIATION_HEADER = ["n", "median_max_deviation", "replications"]
@@ -185,9 +184,9 @@ DEVIATION_HEADER = ["n", "median_max_deviation", "replications"]
 
 # A ``sampling.DeviationRow`` is already the row: its fields are this header, in order
 # (``sample_volume`` is ``n``).
-def deviation_table_to_csv(rows):
-    return csv_text(DEVIATION_HEADER, rows)
+def deviation_table_to_csv(out, rows):
+    csv_text(out, DEVIATION_HEADER, rows)
 
 
-def deviation_table_to_json(rows):
-    return json_text(DEVIATION_HEADER, rows)
+def deviation_table_to_json(out, rows):
+    json_text(out, DEVIATION_HEADER, rows)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import math
 
 import numpy as np
@@ -25,6 +26,14 @@ from ternary_dynamics import (
 )
 from ternary_dynamics.cli import _axis
 from ternary_dynamics.serialize import sweep_to_csv
+
+
+def emitted(emit, *args, **kwargs):
+    """The text ``emit`` writes to a stream, given the rest of its arguments."""
+    buf = io.StringIO()
+    emit(buf, *args, **kwargs)
+    return buf.getvalue()
+
 
 CLASSIFY = importlib.import_module("ternary_dynamics.classify")
 
@@ -392,11 +401,13 @@ def test_sweep_deterministic_across_runs_and_sub_grids():
     )
     init = SimplexPoint(0.5, 0.3, 0.2)
     base = sweep(cells, 0, init, simulate=True)
-    assert sweep_to_csv(base) == sweep_to_csv(sweep(cells, 0, init, simulate=True))
+    assert emitted(sweep_to_csv, base) == emitted(
+        sweep_to_csv, sweep(cells, 0, init, simulate=True))
     # each row depends only on its own cell: any sub-grid gives the matching rows
     for sub in (cells[::2], cells[5:], cells[3:4], cells[::-1]):
         picked = [base[cells.index(cell)] for cell in sub]
-        assert sweep_to_csv(sweep(sub, 0, init, simulate=True)) == sweep_to_csv(picked)
+        assert (emitted(sweep_to_csv, sweep(sub, 0, init, simulate=True))
+                == emitted(sweep_to_csv, picked))
 
 
 def test_sweep_reference_grid_counts_and_output():
@@ -407,7 +418,7 @@ def test_sweep_reference_grid_counts_and_output():
     assert sum(row.agreement is not None for row in rows) == 7537
     assert sum(row.agreement == "disagree" for row in rows) == 2325
     assert sum("not_converged" in row.flags for row in rows) == 470
-    assert hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest() == (
+    assert hashlib.sha256(emitted(sweep_to_csv, rows).encode()).hexdigest() == (
         "20acd7d4201ea16bc8b3d84de406fbae274c8bf35a95d2abfe925d0d0bb2201b"
     )
 

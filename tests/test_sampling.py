@@ -1,3 +1,4 @@
+import io
 import statistics
 import warnings
 
@@ -20,6 +21,14 @@ from ternary_dynamics import (
 )
 from ternary_dynamics.core import _clamped_step, build_regression_matrix
 from ternary_dynamics.serialize import deviation_table_to_csv, replications_to_csv
+
+
+def emitted(emit, *args, **kwargs):
+    """The text ``emit`` writes to a stream, given the rest of its arguments."""
+    buf = io.StringIO()
+    emit(buf, *args, **kwargs)
+    return buf.getvalue()
+
 
 PARAMS = DirectingParams(0.1, 0.1, 0.1)
 INIT = SimplexPoint(0.5, 0.3, 0.2)
@@ -115,7 +124,7 @@ def test_run_replications_deterministic_and_distinct():
     first = run_replications(PARAMS, INIT, cfg)
     second = run_replications(PARAMS, INIT, cfg)
     assert first == second
-    assert replications_to_csv(first) == replications_to_csv(second)
+    assert emitted(replications_to_csv, first) == emitted(replications_to_csv, second)
     assert first[0].counts != first[1].counts
 
 
@@ -303,7 +312,7 @@ def test_lln_diagnostic_rejects_a_bad_volume_before_any_work(monkeypatch):
 def test_deviation_table_serialization_round():
     cfg = SampleConfig(sample_volume=100, replications=3, seed=1, steps=5)
     rows = lln_diagnostic(PARAMS, INIT, [10, 100], cfg)
-    text = deviation_table_to_csv(rows)
+    text = emitted(deviation_table_to_csv, rows)
     lines = text.splitlines()
     assert lines[0] == "n,median_max_deviation,replications"
     assert len(lines) == 3

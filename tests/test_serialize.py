@@ -22,9 +22,16 @@ from ternary_dynamics import (
 from ternary_dynamics import serialize
 
 
+def emitted(emit, *args, **kwargs):
+    """The text ``emit`` writes to a stream, given the rest of its arguments."""
+    buf = io.StringIO()
+    emit(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
 def reparse_identical(text):
     rows = list(csv.reader(io.StringIO(text)))
-    return serialize.csv_text(rows[0], rows[1:]) == text
+    return emitted(serialize.csv_text, rows[0], rows[1:]) == text
 
 
 def test_format_float_round_trips():
@@ -34,39 +41,39 @@ def test_format_float_round_trips():
 
 def test_trajectory_csv_round_trip_and_values():
     states = trajectory(DirectingParams(0.1, 0.1, 0.1), SimplexPoint(0.5, 0.3, 0.2), 3)
-    text = serialize.trajectory_to_csv(states)
+    text = emitted(serialize.trajectory_to_csv, states)
     lines = text.splitlines()
     assert lines[0] == "k,p0,p1,p2"
     assert lines[1] == "0,0.5,0.3,0.2"
     assert lines[2] == "1,0.45,0.31,0.24"
     assert reparse_identical(text)
-    payload = json.loads(serialize.trajectory_to_json(states))
+    payload = json.loads(emitted(serialize.trajectory_to_json, states))
     assert payload[1] == {"k": 1, "p0": 0.45, "p1": 0.31, "p2": 0.24}
 
 
 def test_equilibrium_serialization():
     eq = compute_equilibrium(DirectingParams(0.5, 1.0, 1.0))
-    text = serialize.equilibrium_to_csv(eq)
+    text = emitted(serialize.equilibrium_to_csv, eq)
     assert text.splitlines()[0] == "rho0,rho1,rho2,v,v_bar,flags"
     assert text.splitlines()[1] == "0.5,0.25,0.25,2.0,4.0,"
     assert reparse_identical(text)
-    payload = json.loads(serialize.equilibrium_to_json(eq, ("params_out_of_range",)))
+    payload = json.loads(emitted(serialize.equilibrium_to_json, eq, ("params_out_of_range",)))
     assert payload["v_bar"] == 4.0
     assert payload["flags"] == ["params_out_of_range"]
 
     undefined = compute_equilibrium(DirectingParams(0.1, 0.0, 0.1))
-    assert json.loads(serialize.equilibrium_to_json(undefined))["v_bar"] is None
+    assert json.loads(emitted(serialize.equilibrium_to_json, undefined))["v_bar"] is None
 
 
 def test_classification_serialization():
     report = classify(DirectingParams(-0.2, 0.5, -0.4), 0)
-    text = serialize.classification_to_csv(report, "conditional")
+    text = emitted(serialize.classification_to_csv, report, "conditional")
     header, row = text.splitlines()
     assert header == "coordinate,scenario,rho_m,v_m,predicted_limit,contraction_factor,flags"
     assert row.split(",")[1] == "repulsive"
     assert row.split(",")[4] == "conditional"
     assert reparse_identical(text)
-    payload = json.loads(serialize.classification_to_json(report, 0.0))
+    payload = json.loads(emitted(serialize.classification_to_json, report, 0.0))
     assert payload["predicted_limit"] == 0.0
 
 
@@ -77,7 +84,7 @@ def test_sweep_serialization_round_trip():
         SimplexPoint(0.5, 0.3, 0.2),
         simulate=True,
     )
-    text = serialize.sweep_to_csv(rows)
+    text = emitted(serialize.sweep_to_csv, rows)
     lines = text.splitlines()
     assert lines[0] == (
         "v0,v1,v2,coordinate,rho_m,v_m,scenario,predicted_limit,"
@@ -85,7 +92,7 @@ def test_sweep_serialization_round_trip():
     )
     assert len(lines) == 4
     assert reparse_identical(text)
-    payload = json.loads(serialize.sweep_to_json(rows))
+    payload = json.loads(emitted(serialize.sweep_to_json, rows))
     assert payload[1]["scenario"] == "no_equilibrium"
     assert payload[1]["rho_m"] is None
     assert payload[2]["flags"] == ["rho_boundary"]
@@ -96,16 +103,16 @@ def test_replications_and_deviation_serialization():
     init = SimplexPoint(0.5, 0.3, 0.2)
     cfg = SampleConfig(sample_volume=100, replications=2, seed=42, steps=4)
     trajs = run_replications(params, init, cfg)
-    text = serialize.replications_to_csv(trajs)
+    text = emitted(serialize.replications_to_csv, trajs)
     lines = text.splitlines()
     assert lines[0] == "replication,k,p0,p1,p2"
     assert len(lines) == 1 + 2 * 5
     assert reparse_identical(text)
 
     table = lln_diagnostic(params, init, [10, 100], cfg)
-    dev_text = serialize.deviation_table_to_csv(table)
+    dev_text = emitted(serialize.deviation_table_to_csv, table)
     assert reparse_identical(dev_text)
-    payload = json.loads(serialize.deviation_table_to_json(table))
+    payload = json.loads(emitted(serialize.deviation_table_to_json, table))
     assert [row["n"] for row in payload] == [10, 100]
 
 
@@ -125,8 +132,8 @@ def test_json_text_matches_json_dumps_byte_for_byte():
     for n in (0, 1, 2500):
         rows = [(k, k / 7, ("a", "b") if k % 2 else ()) for k in range(n)]
         expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-        assert serialize.json_text(header, iter(rows)) == expected
-    assert serialize.json_text(header, [(1, 0.5, ())], single=True) == (
+        assert emitted(serialize.json_text, header, iter(rows)) == expected
+    assert emitted(serialize.json_text, header, [(1, 0.5, ())], single=True) == (
         json.dumps({"k": 1, "x": 0.5, "flags": []}, indent=2) + "\n"
     )
 
@@ -154,21 +161,21 @@ def tables(draw):
 @given(table=tables())
 def test_json_text_matches_stdlib_encoder_on_any_table(table):
     header, rows = table
-    assert serialize.json_text(header, rows) == reference_json_text(header, rows)
+    assert emitted(serialize.json_text, header, rows) == reference_json_text(header, rows)
     for row in rows:
-        assert (serialize.json_text(header, [row], single=True)
+        assert (emitted(serialize.json_text, header, [row], single=True)
                 == reference_json_text(header, [row], single=True))
 
 
 @pytest.mark.parametrize("value", [np.int64(3), {1}, object()])
 def test_json_text_rejects_values_outside_a_table(value):
     with pytest.raises(TypeError):
-        serialize.json_text(["x"], [(value,)])
+        emitted(serialize.json_text, ["x"], [(value,)])
 
 
 def test_json_text_rejects_repeated_column_names():
     with pytest.raises(ValueError, match="distinct"):
-        serialize.json_text(["x", "x"], [(1, 2)])
+        emitted(serialize.json_text, ["x", "x"], [(1, 2)])
 
 
 def test_sweep_row_fields_are_the_sweep_header():
