@@ -259,7 +259,7 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     Each row depends only on its own cell, so a sub-grid gives the same
     rows as the matching rows of a larger grid.  ``tol``, ``max_steps`` and
     ``agreement_tol`` are checked before the first cell, with or without ``simulate``;
-    a cell that is not a triple raises :class:`InvalidInputError` when the loop reaches it.
+    a cell that is not three numbers raises :class:`InvalidInputError` when the loop reaches it.
     """
     coordinate = _check_coordinate(coordinate)
     if not agreement_tol > 0.0:
@@ -269,10 +269,11 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     start = init[coordinate]
     rows = []
     for cell in cells:
-        triple = tuple(map(float, cell))
-        if len(triple) != 3:
-            raise InvalidInputError(f"grid cells must be triples, got {cell!r}")
-        v0, v1, v2 = triple
+        try:
+            v0, v1, v2 = triple = tuple(map(float, cell))
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError(
+                f"grid cells must be triples of numbers, got {cell!r}") from None
         v_m = triple[coordinate]
         try:
             params = DirectingParams(v0, v1, v2, bound_check=bound_check)

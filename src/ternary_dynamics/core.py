@@ -340,4 +340,5 @@ def contraction_factor(params):
     if disc >= 0.0:
         root = math.sqrt(disc)
         return max(abs((tr + root) / 2.0), abs((tr - root) / 2.0))
-    return math.sqrt(det)
+    # disc < 0 implies det > 0: only a NaN disc (an overflowed matrix) gets here with det < 0
+    return math.nan if det < 0.0 else math.sqrt(det)

@@ -341,6 +341,24 @@ def test_sweep_nan_denominator_cell_is_a_marker_row():
     assert rows[1] == sweep(cells[1:], 0, SimplexPoint(0.5, 0.3, 0.2))[0]
 
 
+def test_sweep_overflowing_no_equilibrium_cell_is_a_marker_row():
+    # the trace of the reduced matrix is NaN and its determinant -inf
+    cell = (1e308, -1e308, 1.5e308)
+    assert math.isnan(contraction_factor(DirectingParams(*cell, bound_check=False)))
+    rows = sweep([ATTRACTIVE, cell], 0, SimplexPoint(0.5, 0.3, 0.2), bound_check=False)
+    assert rows[1].scenario == "no_equilibrium"
+    assert math.isnan(rows[1].contraction_factor)
+    assert rows[1].flags == ("params_out_of_range",)
+    assert rows[0] == sweep([ATTRACTIVE], 0, SimplexPoint(0.5, 0.3, 0.2))[0]
+
+
+@pytest.mark.parametrize("cell", [("a", "b", "c"), (0.1, 0.2, None), 0.1, (10**400, 0.1, 0.1)],
+                         ids=["strings", "none", "scalar", "int-overflow"])
+def test_sweep_rejects_a_cell_that_is_not_numeric(cell):
+    with pytest.raises(InvalidInputError, match="grid cells must be triples of numbers, got"):
+        sweep([ATTRACTIVE, cell], 0, SimplexPoint(0.5, 0.3, 0.2))
+
+
 @pytest.mark.parametrize("cells", [[(0.1, 0.2)], [ATTRACTIVE, (0.1, 0.2)]],
                          ids=["first", "second"])
 def test_sweep_rejects_a_cell_that_is_not_a_triple(cells):

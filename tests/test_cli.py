@@ -229,6 +229,14 @@ def test_sweep_continues_past_nan_denominator_cell(capsys):
     assert rows[0]["flags"] == "params_out_of_range"
 
 
+def test_sweep_continues_past_overflowing_no_equilibrium_cell(capsys):
+    code, out, err = run(capsys, "sweep", "--cells", "0.1,0.1,0.1;1e308,-1e308,1.5e308",
+                         "--init", "0.5,0.3,0.2", "--allow-out-of-range")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == (
+        "1e+308,-1e+308,1.5e+308,0,,1e+308,no_equilibrium,,nan,,,params_out_of_range")
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_demo_grid(capsys):
