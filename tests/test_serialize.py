@@ -14,6 +14,7 @@ from ternary_dynamics import (
     SweepRow,
     classify,
     compute_equilibrium,
+    grid_cells,
     lln_diagnostic,
     run_replications,
     sweep,
@@ -176,6 +177,39 @@ def test_json_text_rejects_values_outside_a_table(value):
 def test_json_text_rejects_repeated_column_names():
     with pytest.raises(ValueError, match="distinct"):
         emitted(serialize.json_text, ["x", "x"], [(1, 2)])
+
+
+class RecordingStream:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("emit", [serialize.sweep_to_csv, serialize.sweep_to_json],
+                         ids=["csv", "json"])
+def test_sweep_emitters_write_each_row_as_it_is_formatted(emit):
+    axis = [round(-0.9 + 0.18 * i, 12) for i in range(11)]
+    rows = sweep(grid_cells(axis, axis, axis), 0, SimplexPoint(0.5, 0.3, 0.2))
+    assert len(rows) == 1331
+    stream = RecordingStream()
+    emit(stream, rows)
+    assert len(stream.writes) >= len(rows)
+    # a one-row table is one row's text plus the header or the list framing
+    assert max(map(len, stream.writes)) <= max(len(emitted(emit, [row])) for row in rows)
+    assert "".join(stream.writes) == emitted(emit, rows)
+
+
+@pytest.mark.parametrize("rows", [[], [(1,), (2,)]], ids=["no-row", "two-rows"])
+def test_json_text_single_checks_the_row_count_before_writing(rows):
+    stream = RecordingStream()
+    with pytest.raises(ValueError):
+        serialize.json_text(stream, ["x"], rows, single=True)
+    assert stream.writes == []
 
 
 def test_sweep_row_fields_are_the_sweep_header():
