@@ -398,7 +398,14 @@ def main(argv=None):
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``); keep the flush at exit from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -637,3 +637,19 @@ def test_module_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 3
+
+
+def test_closed_stdout_pipe_ends_the_run_quietly():
+    # what `ternary-dynamics sweep ... | head -1` meets once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ternary_dynamics", "sweep", "--cells", DEMO_CELLS,
+             "--init", "0.5,0.3,0.2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
