@@ -49,9 +49,9 @@ def json_text(out, header, rows, single=False):
     a newline, for the values a table holds: ``None``, ``bool``, ``int``,
     ``float`` (``NaN``/``Infinity``/``-Infinity`` as :mod:`json` writes
     them), ``str`` and a tuple of ``str``.  Any other value raises
-    :class:`TypeError`.  Column names must be distinct, each row has one
-    value per column, and a ``single`` table has exactly one row; the last
-    two are checked before anything is written.
+    :class:`TypeError`.  Column names must be distinct and a ``single``
+    table has exactly one row, both checked before anything is written;
+    each row has one value per column.
 
     Each object is formatted as one string and written with its separator.
     With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
