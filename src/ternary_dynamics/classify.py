@@ -26,6 +26,7 @@ from .core import (
     SimplexPoint,
     _clamped_step,
     _count,
+    _range_flags,
     build_regression_matrix,
     compute_equilibrium,
     contraction_factor,
@@ -111,7 +112,7 @@ def classify(params, coordinate=0):
     coordinate = _check_coordinate(coordinate)
     eq = compute_equilibrium(params)
     v_m = params[coordinate]
-    rho_m = eq.rho[coordinate]
+    rho_m = eq[coordinate]
     flags = []
     if v_m == 0.0:
         flags.append("v_zero")
@@ -159,16 +160,16 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     fixed point (absorbing vertices included).  Exhausting ``max_steps``
     reports ``converged=False`` rather than raising.
 
-    Many cells of the clamped map lock into an exact periodic orbit (of
-    period 2, 4, 6 or 8 on the reference grids) and never converge.  The
-    step is a pure function of the state, so once the state at step ``k``
-    repeats bit for bit the one ``L`` steps earlier (found with Brent's
-    cycle detection) and each of those ``L`` steps moved by more than
-    ``tol``, the outcome is fixed: only the ``(max_steps - k) % L`` steps
-    needed to read off the final state and increment are taken.  The
-    result is identical to stepping to the end; in particular
-    ``steps_used`` still reports ``max_steps``.  A cycle with a step
-    within ``tol`` keeps the normal loop.
+    Many cells of the clamped map lock into an exact periodic orbit and
+    never converge (periods 2, 4, 6 and 8 occur on the reference grids, and
+    10 off them).  The step is a pure function of the state, so once the
+    state at step ``k`` repeats bit for bit the one ``L`` steps earlier
+    (found with Brent's cycle detection) and each of those ``L`` steps moved
+    by more than ``tol``, the outcome is fixed: only the
+    ``(max_steps - k) % L`` steps needed to read off the final state and
+    increment are taken.  The result is identical to stepping to the end;
+    in particular ``steps_used`` still reports ``max_steps``.  A cycle with
+    a step within ``tol`` keeps the normal loop.
     """
     coordinate = _check_coordinate(coordinate)
     max_steps, window = _check_limit_settings(tol, max_steps, window)
@@ -226,7 +227,7 @@ def check_agreement(report, estimate, init, tol=1e-6):
 
 
 class SweepRow(NamedTuple):
-    """One grid cell of a scenario sweep; the fields are ``serialize.SWEEP_HEADER``, in order."""
+    """One grid cell of a scenario sweep; its field names are ``serialize.SWEEP_HEADER``."""
 
     v0: float
     v1: float
@@ -274,51 +275,45 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
         except (TypeError, ValueError, OverflowError):
             raise InvalidInputError(
                 f"grid cells must be triples of numbers, got {cell!r}") from None
-        v_m = triple[coordinate]
+        # A cell that is not classified sets only the fields where its row differs.
+        report = rho_m = predicted = contraction = simulated = agreement = None
+        flags = []
         try:
             params = DirectingParams(v0, v1, v2, bound_check=bound_check)
         except InvalidInputError:
-            rows.append(SweepRow(v0, v1, v2, coordinate, None, v_m, "invalid_params", None, None,
-                                 None, None, ()))
-            continue
-        flags = [] if params.in_model_range else ["params_out_of_range"]
-
-        try:
-            report = classify(params, coordinate)
-        except NoEquilibriumError:
-            rows.append(SweepRow(v0, v1, v2, coordinate, None, v_m, "no_equilibrium", None,
-                                 contraction_factor(params), None, None, tuple(flags)))
-            continue
-        except BoundaryCaseError as exc:
-            flags.extend(exc.flags)
-            rows.append(SweepRow(v0, v1, v2, coordinate, exc.rho_m, v_m, "boundary", None,
-                                 contraction_factor(params), None, None, tuple(sorted(flags))))
-            continue
-
-        try:
-            predicted = report.resolve_limit(start)
-        except UnresolvedPredictionError:
-            flags.append("unresolved_prediction")
-            predicted = None
-
-        simulated = agreement = None
-        if simulate:
+            scenario = "invalid_params"
+        else:
+            flags += _range_flags(params, bound_check)
             try:
-                estimate = estimate_limit(params, init, coordinate, tol=tol, max_steps=max_steps)
-            except DegenerateClampError:
-                flags.append("degenerate_clamp")
-            except InvalidInputError:
-                # After the checks above, the only source: 2*v_n overflows in the matrix.
-                flags.append("matrix_overflow")
-            else:
-                simulated = estimate.value
-                if not estimate.converged:
-                    flags.append("not_converged")
-                if predicted is not None:
-                    check = check_agreement(report, estimate, init, tol=agreement_tol)
-                    agreement = "agree" if check.agree else "disagree"
-
-        rows.append(SweepRow(v0, v1, v2, coordinate, report.rho_m, v_m, report.scenario.value,
-                             predicted, report.contraction_factor, simulated, agreement,
-                             tuple(sorted(flags))))
+                report = classify(params, coordinate)
+            except NoEquilibriumError:
+                scenario, contraction = "no_equilibrium", contraction_factor(params)
+            except BoundaryCaseError as exc:
+                scenario, rho_m, contraction = "boundary", exc.rho_m, contraction_factor(params)
+                flags += exc.flags
+        if report is not None:
+            scenario, rho_m = report.scenario.value, report.rho_m
+            contraction = report.contraction_factor
+            try:
+                predicted = report.resolve_limit(start)
+            except UnresolvedPredictionError:
+                flags.append("unresolved_prediction")
+            if simulate:
+                try:
+                    estimate = estimate_limit(params, init, coordinate, tol=tol,
+                                              max_steps=max_steps)
+                except DegenerateClampError:
+                    flags.append("degenerate_clamp")
+                except InvalidInputError:
+                    # After the checks above, the only source: 2*v_n overflows in the matrix.
+                    flags.append("matrix_overflow")
+                else:
+                    simulated = estimate.value
+                    if not estimate.converged:
+                        flags.append("not_converged")
+                    if predicted is not None:
+                        check = check_agreement(report, estimate, init, tol=agreement_tol)
+                        agreement = "agree" if check.agree else "disagree"
+        rows.append(SweepRow(v0, v1, v2, coordinate, rho_m, triple[coordinate], scenario,
+                             predicted, contraction, simulated, agreement, tuple(sorted(flags))))
     return rows

@@ -34,6 +34,7 @@ from .core import (
     InvalidInputError,
     NoEquilibriumError,
     SimplexPoint,
+    _range_flags,
     compute_equilibrium,
     trajectory,
 )
@@ -231,10 +232,6 @@ def _prepare_argv(argv):
 
 def _params_from(args):
     return DirectingParams(*args.v, bound_check=not args.allow_out_of_range)
-
-
-def _range_flags(params):
-    return ("params_out_of_range",) if not params.in_model_range else ()
 
 
 def _cmd_equilibrium(args):

@@ -101,6 +101,11 @@ class DirectingParams(_Validated, namedtuple("DirectingParams", "v0 v1 v2")):
         return max(abs(self.v0), abs(self.v1), abs(self.v2)) <= 1.0
 
 
+def _range_flags(params, checked=False):
+    """A row's ``params_out_of_range`` flag; ``checked`` says ``params`` passed the bound check."""
+    return () if checked or params.in_model_range else ("params_out_of_range",)
+
+
 class _Triple(_Validated):
     """Validation shared by the three-component state types.
 
@@ -194,7 +199,13 @@ def compute_equilibrium(params):
     Raises :class:`NoEquilibriumError` when the denominator is zero relative
     to the largest pairwise product, so catastrophic cancellation never
     manufactures a spurious equilibrium, or when it is not finite (pairwise
-    products that overflow to opposite infinities sum to NaN).
+    products that overflow to opposite infinities sum to NaN, and finite
+    ones near the top of the float range can sum to infinity).
+
+    A float result skips :class:`Equilibrium`'s checks, which cannot fail
+    for it: past the denominator test every ``|rho_i| < 1e14`` and their sum
+    is within a few ulps of 1.  Other number types (ints, fractions, numpy
+    scalars) go through the validating constructor.
     """
     v0, v1, v2 = params
     p12 = v1 * v2
@@ -202,17 +213,12 @@ def compute_equilibrium(params):
     p01 = v0 * v1
     denom = p12 + p02 + p01
     scale = max(abs(p12), abs(p02), abs(p01))
-    if not abs(denom) > SINGULAR_REL_TOL * scale:
+    if not SINGULAR_REL_TOL * scale < abs(denom) < math.inf:
         raise NoEquilibriumError(
             f"no unique equilibrium: V = {denom!r} (v1*v2 + v0*v2 + v0*v1 is zero or not finite)"
         )
-    return Equilibrium(
-        rho0=p12 / denom,
-        rho1=p02 / denom,
-        rho2=p01 / denom,
-        v_denominator=denom,
-        params=params,
-    )
+    values = (p12 / denom, p02 / denom, p01 / denom, denom, params)
+    return tuple.__new__(Equilibrium, values) if type(denom) is float else Equilibrium(*values)
 
 
 def to_fluctuation(state, eq):

@@ -14,6 +14,8 @@ formatted; no emitter builds or returns the document.  A tuple cell (the
 import csv
 from json.encoder import encode_basestring_ascii as _json_str
 
+from .classify import SweepRow
+
 _float_repr = float.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -147,13 +149,10 @@ def classification_to_json(out, report, predicted, flags=()):
               single=True)
 
 
-SWEEP_HEADER = [
-    "v0", "v1", "v2", "coordinate", "rho_m", "v_m", "scenario", "predicted_limit",
-    "contraction_factor", "simulated_limit", "agreement", "flags",
-]
+# A ``SweepRow`` is its own row, so its fields are the header.
+SWEEP_HEADER = list(SweepRow._fields)
 
 
-# A ``classify.SweepRow`` is already the row: its fields are this header, in order.
 def sweep_to_csv(out, rows):
     csv_text(out, SWEEP_HEADER, rows)
 

@@ -352,6 +352,17 @@ def test_sweep_overflowing_no_equilibrium_cell_is_a_marker_row():
     assert rows[0] == sweep([ATTRACTIVE], 0, SimplexPoint(0.5, 0.3, 0.2))[0]
 
 
+def test_sweep_infinite_denominator_cell_is_a_marker_row():
+    # finite pairwise products whose sum overflows to V = inf
+    cell = (1e154, 1e154, 1e154)
+    params = DirectingParams(*cell, bound_check=False)
+    rows = sweep([cell, ATTRACTIVE], 0, SimplexPoint(0.5, 0.3, 0.2), bound_check=False)
+    assert rows[0].scenario == "no_equilibrium"
+    assert rows[0].contraction_factor == contraction_factor(params)
+    assert rows[0].flags == ("params_out_of_range",)
+    assert rows[1] == sweep([ATTRACTIVE], 0, SimplexPoint(0.5, 0.3, 0.2))[0]
+
+
 @pytest.mark.parametrize("cell", [("a", "b", "c"), (0.1, 0.2, None), 0.1, (10**400, 0.1, 0.1)],
                          ids=["strings", "none", "scalar", "int-overflow"])
 def test_sweep_rejects_a_cell_that_is_not_numeric(cell):

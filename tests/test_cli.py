@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -217,6 +218,28 @@ def test_nan_denominator_exits_3(capsys, command):
     assert code == 3
     assert out == ""
     assert "V = nan" in err
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "classify"])
+def test_infinite_denominator_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--v", "1e154,1e154,1e154", "--allow-out-of-range")
+    assert (code, out) == (3, "")
+    assert "V = inf" in err
+
+
+def test_out_of_range_sweep_output(capsys):
+    # |v_m| up to 3: every scenario plus no_equilibrium, boundary and unresolved_prediction rows
+    code, out, err = run(capsys, "sweep", "--v0", "-3:3:0.25", "--v1", "-3:3:0.25",
+                         "--v2", "-3:3:0.5", "--m", "1", "--init", "0.5,0.3,0.2",
+                         "--allow-out-of-range")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 8125
+    assert {r["scenario"] for r in rows} == {
+        "attractive", "repulsive", "dominant", "degenerate", "no_equilibrium", "boundary"}
+    assert sum("unresolved_prediction" in r["flags"] for r in rows) == 14
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "feb2b1953e6baf95d391d8a7fe9fca0a4e838ddb0bc80513068b9d94c0edc434")
 
 
 def test_sweep_continues_past_nan_denominator_cell(capsys):

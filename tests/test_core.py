@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ternary_dynamics import (
     DegenerateClampError,
     DirectingParams,
+    Equilibrium,
     FluctuationVector,
     InvalidInputError,
     NoEquilibriumError,
@@ -210,6 +214,77 @@ def test_equilibrium_nonfinite_denominator(v):
     # pairwise products overflow; with mixed signs their sum is NaN
     with pytest.raises(NoEquilibriumError, match="not finite"):
         compute_equilibrium(DirectingParams(*v, bound_check=False))
+
+
+def test_equilibrium_infinite_denominator():
+    # finite pairwise products of ~1e308 whose sum overflows: every rho_i would be 0
+    with pytest.raises(NoEquilibriumError, match="V = inf"):
+        compute_equilibrium(DirectingParams(1e154, 1e154, 1e154, bound_check=False))
+    with pytest.raises(NoEquilibriumError, match="V = -inf"):
+        compute_equilibrium((1.0, 1.0, -1.7e308))
+
+
+def test_equilibrium_float32_result_is_still_checked():
+    # float32 products and quotients miss the balance tolerance, so only a float
+    # result skips Equilibrium's checks
+    with pytest.raises(InvalidInputError, match="must sum to 1"):
+        compute_equilibrium(tuple(map(np.float32, (0.1, 0.2, 0.3))))
+
+
+# a signed float whose exponent is uniform from the subnormals to ~1e308
+_magnitude = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                       st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-323, 307))
+
+
+@st.composite
+def _near_cancelling(draw):
+    """(v0, v1, v2), v2 a few ulps from the value that makes V = v1*v2 + v0*v2 + v0*v1 vanish."""
+    v0, v1 = draw(_magnitude), draw(_magnitude)
+    v2 = -v0 * v1 / (v0 + v1) if v0 + v1 != 0.0 else 1.0
+    v2 = v2 if math.isfinite(v2) else 1.0
+    for _ in range(draw(st.integers(0, 4))):
+        v2 = math.nextafter(v2, draw(st.sampled_from([math.inf, -math.inf])))
+    return draw(st.permutations((v0, v1, v2)))
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_top = st.floats(1e153, 1e155) | st.floats(-1e155, -1e153)  # products near the float maximum
+_float_triple = st.one_of(
+    st.tuples(_floats, _floats, _floats),
+    st.tuples(_magnitude, _magnitude, _magnitude),
+    st.tuples(_top, _top, _top),
+    _near_cancelling(),
+)
+_bounded = st.floats(-1e150, 1e150)  # no numpy overflow warning in the products
+_exact = st.one_of(st.integers(-10**100, 10**100),
+                   st.fractions(-10**6, 10**6, max_denominator=10**6))
+_other_triple = st.one_of(
+    st.tuples(_exact, _exact, _exact),
+    st.tuples(_bounded, _bounded, _bounded).map(lambda v: tuple(map(np.float64, v))),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(params=st.one_of(_float_triple.map(lambda v: DirectingParams(*v, bound_check=False)),
+                        _other_triple))
+@example(params=DirectingParams(1e-160, 1e-160, -2e-160, bound_check=False))
+@example(params=DirectingParams(1.7e308, 1e-308, 1e-308, bound_check=False))
+@example(params=(1, 2, 3))
+@example(params=(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)))
+@example(params=(np.float64(0.1), np.float64(0.2), np.float64(0.3)))
+def test_compute_equilibrium_result_passes_the_equilibrium_checks(params):
+    # compute_equilibrium does not send a float result through Equilibrium's checks;
+    # whenever it returns, those checks accept it and give the same value.
+    try:
+        eq = compute_equilibrium(params)
+    except NoEquilibriumError:
+        return
+    assert Equilibrium(*eq) == eq
+    assert all(type(x) is float for x in eq[:4])
+    v0, v1, v2 = params
+    p12, p02, p01 = v1 * v2, v0 * v2, v0 * v1
+    V = p12 + p02 + p01
+    assert repr(eq) == repr(Equilibrium(p12 / V, p02 / V, p01 / V, V, params))
 
 
 def test_v_bar_accessor():
