@@ -205,9 +205,14 @@ def compute_equilibrium(params):
     A float result skips :class:`Equilibrium`'s checks, which cannot fail
     for it: past the denominator test every ``|rho_i| < 1e14`` and their sum
     is within a few ulps of 1.  Other number types (ints, fractions, numpy
-    scalars) go through the validating constructor.
+    scalars) go through the validating constructor.  Integers of any type
+    (anything with ``__index__``) are taken as Python ints first, so a
+    fixed-width integer such as numpy's ``int64`` cannot wrap in the products.
     """
     v0, v1, v2 = params
+    if type(params) is not DirectingParams:  # its components are always floats
+        v0, v1, v2 = (operator.index(v) if hasattr(type(v), "__index__") else v
+                      for v in (v0, v1, v2))
     p12 = v1 * v2
     p02 = v0 * v2
     p01 = v0 * v1

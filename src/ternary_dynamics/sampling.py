@@ -7,15 +7,16 @@ and the noise shrinks like ``n**-0.5``.  Replication ``r`` of a run draws
 from the counter-based Philox stream keyed by ``(seed, r)``, which makes
 runs bit-reproducible and replications independent without any shared
 generator state.
+
+numpy is needed only here, and is imported on the first draw
+(:func:`replication_stream`), not with the package: ``import
+ternary_dynamics`` and the deterministic commands never load it.
 """
 
-import operator
-import statistics
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
+from operator import sub, truediv
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import (
     InvalidInputError,
@@ -40,6 +41,14 @@ def _sample_volume(n, what):
     return n
 
 
+def _key_word(value, what):
+    """``value`` as an int in ``[0, 2**64)``: one ``uint64`` word of a Philox key."""
+    value = _count(value, what)
+    if not 0 <= value < 2**64:
+        raise InvalidInputError(f"{what} must be a 64-bit unsigned integer, got {value}")
+    return value
+
+
 class SampleConfig(_Validated, namedtuple("SampleConfig", "sample_volume replications seed steps")):
     """Settings for stochastic replication runs."""
 
@@ -53,8 +62,7 @@ class SampleConfig(_Validated, namedtuple("SampleConfig", "sample_volume replica
             raise InvalidInputError(f"replications must be >= 1, got {self.replications}")
         if self.steps < 0:
             raise InvalidInputError(f"steps must be >= 0, got {self.steps}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidInputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _key_word(self.seed, "seed")
         return self
 
 
@@ -81,9 +89,14 @@ class EmpiricalTrajectory(NamedTuple):
 def replication_stream(seed, replication):
     """Independent generator for one replication, keyed by (seed, replication).
 
-    The key is built as ``uint64``: a plain list would become float64 for
-    seeds >= 2**63 and lose their low bits.
+    Both must be integers in ``[0, 2**64)``.  The key is built as
+    ``uint64``: a plain list would become float64 for seeds >= 2**63 and
+    lose their low bits.
     """
+    seed = _key_word(seed, "seed")
+    replication = _key_word(replication, "replication")
+    import numpy as np
+
     key = np.array([seed, replication], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -145,18 +158,22 @@ def lln_diagnostic(params, init, volumes, cfg):
     stages and components of the absolute gap to the deterministic clamped
     trajectory; the table reports the median across replications.
     """
+    import statistics
+
     volumes = [_sample_volume(n, "sample volume") for n in volumes]
     if not volumes:
         raise InvalidInputError("volumes must be nonempty")
     if any(b <= a for a, b in zip(volumes, volumes[1:])):
         raise InvalidInputError(f"volumes must be strictly increasing, got {volumes}")
-    flat_ref = list(chain.from_iterable(trajectory(params, init, cfg.steps, mode="clamped")))
+    # Stage 0 is ``init`` on both paths, a gap of 0.0: the ``default`` of ``max`` below.
+    flat_ref = list(chain.from_iterable(trajectory(params, init, cfg.steps, mode="clamped")[1:]))
 
     rows = []
     for n in volumes:
         trajs = run_replications(params, init, cfg._replace(sample_volume=n))
         deviations = [
-            max(0.0, *map(abs, map(operator.sub, chain.from_iterable(traj.points), flat_ref)))
+            max(map(abs, map(sub, map(truediv, chain.from_iterable(traj.counts), repeat(n)),
+                             flat_ref)), default=0.0)
             for traj in trajs
         ]
         rows.append(DeviationRow(

@@ -676,3 +676,48 @@ def test_closed_stdout_pipe_ends_the_run_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+# Runs in a fresh interpreter: prints, as JSON, which of numpy and statistics
+# are loaded after each import and each cli.main call.
+LOADED_AFTER = """
+import json, sys
+out_dir = sys.argv[1]
+def loaded():
+    return [name for name in ("numpy", "statistics") if name in sys.modules]
+import ternary_dynamics
+seen = {"import ternary_dynamics": loaded()}
+import ternary_dynamics.cli as cli
+seen["import ternary_dynamics.cli"] = loaded()
+for i, argv in enumerate(json.loads(sys.argv[2])):
+    assert cli.main([*argv, "--output", f"{out_dir}/{i}.out"]) == 0
+    seen[argv[0]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_stochastic_command_loads_numpy(tmp_path):
+    commands = [
+        ["equilibrium", "--v", "0.5,1,1"],
+        ["simulate", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2", "--steps", "5"],
+        ["classify", "--v", ATTRACTIVE, "--m", "0"],
+        ["sweep", "--cells", DEMO_CELLS, "--init", "0.5,0.3,0.2", "--simulate"],
+        ["stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2", "--n", "10,100",
+         "--reps", "3", "--steps", "5"],
+    ]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, str(tmp_path), json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "import ternary_dynamics": [],
+        "import ternary_dynamics.cli": [],
+        "equilibrium": [],
+        "simulate": [],
+        "classify": [],
+        "sweep": [],
+        "stochastic": ["numpy", "statistics"],
+    }

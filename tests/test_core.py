@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,20 @@ def test_equilibrium_float32_result_is_still_checked():
     # result skips Equilibrium's checks
     with pytest.raises(InvalidInputError, match="must sum to 1"):
         compute_equilibrium(tuple(map(np.float32, (0.1, 0.2, 0.3))))
+
+
+@pytest.mark.parametrize("dtype, v", [
+    (np.int64, (2**40, 2**40, 1 - 2**40)),  # used to wrap to rho = (0.5, 0.5, 0.0)
+    (np.int32, (2**31 - 1, 2**31 - 2, 3)),
+    (np.uint64, (2**40, 2**40, 2**40)),
+])
+def test_equilibrium_of_fixed_width_integers_does_not_wrap(dtype, v):
+    # the wrapped products raised only a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eq = compute_equilibrium(tuple(map(dtype, v)))
+    assert repr(eq[:4]) == repr(compute_equilibrium(v)[:4])
+    assert eq == compute_equilibrium(v)
 
 
 # a signed float whose exponent is uniform from the subnormals to ~1e308

@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ternary_dynamics.sampling
 from ternary_dynamics import (
+    DegenerateClampError,
     DeviationRow,
     DirectingParams,
     EmpiricalTrajectory,
@@ -110,6 +113,31 @@ def test_replication_streams_are_independent_and_reproducible():
     again = replication_stream(42, 0).multinomial(100, (0.3, 0.3, 0.4))
     assert (a == again).all()
     assert not (a == b).all()
+
+
+@pytest.mark.parametrize("seed, replication, message", [
+    (0.5, 0, "seed must be an integer, got 0.5"),
+    (0, 1.7, "replication must be an integer, got 1.7"),
+    ("3", 0, "seed must be an integer, got '3'"),
+    (0, "3", "replication must be an integer, got '3'"),
+    (-1, 0, "seed must be a 64-bit unsigned integer, got -1"),
+    (2**64, 0, f"seed must be a 64-bit unsigned integer, got {2**64}"),
+    (0, -1, "replication must be a 64-bit unsigned integer, got -1"),
+    (0, 2**64, f"replication must be a 64-bit unsigned integer, got {2**64}"),
+])
+def test_replication_stream_rejects_a_key_outside_64_bit_integers(seed, replication, message):
+    # a float used to be truncated into the key, '3' parsed, and -1 or 2**64
+    # escaped as a bare OverflowError
+    with pytest.raises(InvalidInputError) as exc:
+        replication_stream(seed, replication)
+    assert str(exc.value) == message
+
+
+def test_replication_stream_accepts_the_whole_key_range():
+    for seed, replication in [(0, 0), (2**64 - 1, 2**64 - 1), (np.uint64(2**64 - 1), True)]:
+        replication_stream(seed, replication).multinomial(10, (0.5, 0.5))
+    assert (replication_stream(np.int64(5), 1).integers(0, 100, 4)
+            == replication_stream(5, True).integers(0, 100, 4)).all()
 
 
 def test_run_replications_zero_steps():
@@ -241,6 +269,41 @@ def test_lln_diagnostic_matches_reference_loop(case, seed):
     got = lln_diagnostic(params, init, IDENTITY_VOLUMES, cfg)
     expected = reference_lln_diagnostic(params, init, IDENTITY_VOLUMES, cfg)
     assert repr(got) == repr(expected)
+
+
+@st.composite
+def _simplex_inits(draw):
+    """A vertex, or a point with every component > 0."""
+    vertex = draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]))
+    a, b = sorted(draw(st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99))))
+    interior = (a, b - a, 1.0 - b) if b - a > 0.0 and 1.0 - b > 0.0 else (0.5, 0.3, 0.2)
+    return SimplexPoint(*draw(st.sampled_from([vertex, interior])))
+
+
+def _outcome(diagnostic, *args):
+    try:
+        return repr(diagnostic(*args))
+    except DegenerateClampError:
+        return "DegenerateClampError"
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(params=st.builds(DirectingParams, _unit, _unit, _unit),
+       init=_simplex_inits(),
+       steps=st.integers(0, 30),
+       volumes=st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True).map(sorted),
+       replications=st.integers(1, 4),
+       seed=st.integers(0, 2**64 - 1))
+@example(params=DirectingParams(-0.1, 0.3, 0.2), init=SimplexPoint(0.5, 0.3, 0.2), steps=0,
+         volumes=[1, 10], replications=2, seed=0)
+def test_lln_diagnostic_matches_reference_loop_across_the_cube(params, init, steps, volumes,
+                                                               replications, seed):
+    cfg = SampleConfig(sample_volume=1, replications=replications, seed=seed, steps=steps)
+    assert (_outcome(lln_diagnostic, params, init, volumes, cfg)
+            == _outcome(reference_lln_diagnostic, params, init, volumes, cfg))
 
 
 # ---------------------------------------------------------- LLN diagnostic
