@@ -21,7 +21,6 @@ from .classify import (
     check_agreement,
     classify,
     estimate_limit,
-    grid_cells,
     sweep,
 )
 from .core import (
@@ -81,7 +80,6 @@ __all__ = [
     "compute_equilibrium",
     "contraction_factor",
     "estimate_limit",
-    "grid_cells",
     "lln_diagnostic",
     "reduced_matrix",
     "replication_stream",

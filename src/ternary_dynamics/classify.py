@@ -243,14 +243,12 @@ class SweepRow(NamedTuple):
     flags: tuple
 
 
-def grid_cells(v0_values, v1_values, v2_values):
-    """Cartesian parameter grid, v0 outermost and v2 innermost."""
-    return [(a, b, c) for a in v0_values for b in v1_values for c in v2_values]
-
-
 def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=False, *,
           bound_check=True, tol=1e-10, max_steps=10000, agreement_tol=1e-6):
     """Classify every parameter triple in ``cells``; one row per cell, in input order.
+
+    ``cells`` may be any iterable of triples, such as
+    ``itertools.product(v0_values, v1_values, v2_values)``; it is read once.
 
     Cell-level failures become row markers (``no_equilibrium``, ``boundary``,
     ``invalid_params``) instead of aborting the sweep.  With ``simulate``

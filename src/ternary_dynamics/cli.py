@@ -14,6 +14,7 @@ subcommand; flags given on the command line win on conflict.
 """
 
 import argparse
+import itertools
 import math
 import os
 import stat
@@ -25,7 +26,6 @@ from .classify import (
     BoundaryCaseError,
     UnresolvedPredictionError,
     classify,
-    grid_cells,
     sweep,
 )
 from .core import (
@@ -68,6 +68,13 @@ def _volumes(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _decimal(x):
+    """``(n, d)`` with ``n / 10**d`` equal to the shortest repr of the finite float ``x``."""
+    digits, _, exponent = repr(x).partition("e")
+    whole, _, fraction = digits.partition(".")
+    return int(whole + fraction), len(fraction) - int(exponent or 0)
+
+
 def _axis(text):
     """Axis values for a sweep: a single number or an inclusive start:stop:step range."""
     parts = text.split(":")
@@ -81,17 +88,29 @@ def _axis(text):
         raise argparse.ArgumentTypeError(
             f"expected NUMBER or START:STOP:STEP, got {text!r}"
         ) from None
-    if step == 0.0:
-        raise argparse.ArgumentTypeError("range step must be nonzero")
+    if step == 0.0 or math.isinf(step):
+        raise argparse.ArgumentTypeError("range step must be nonzero and finite")
     span = (stop - start) / step
     if span < 0.0:
         raise argparse.ArgumentTypeError(f"range {text!r} is empty: step points away from stop")
-    # The same test as count > MAX_GRID_CELLS, made before int(), which
-    # raises OverflowError on an infinite span.
+    # count > MAX_GRID_CELLS, tested on the float span so that an infinite
+    # or huge span is refused before the exact count below.
     if not math.isfinite(span) or span + 1e-9 >= MAX_GRID_CELLS:
         raise argparse.ArgumentTypeError(f"range {text!r} enumerates too many values")
-    count = int(span + 1e-9) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    # Value i is start + i*step worked out exactly on the decimals that start,
+    # stop and step print as, then rounded once to a float: no float error
+    # builds up (-0.9 + 10*0.09 is a zero, not -1.1e-16), no decimal is cut
+    # (1e-13 steps stay apart) and no value passes stop.  A zero keeps the
+    # sign of the float sum start + i*step, as the output has always shown it.
+    decimals = [_decimal(x) for x in (start, stop, step)]
+    scale = max(0, *(d for _, d in decimals))
+    first, last, stride = (n * 10 ** (scale - d) for n, d in decimals)
+    unit = 10 ** scale
+    values = [(first + i * stride) / unit or math.copysign(0.0, start + i * step)
+              for i in range((last - first) // stride + 1)]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"range {text!r} has values closer than float spacing")
+    return values
 
 
 def _cells(text):
@@ -291,7 +310,7 @@ def _cmd_sweep(args):
             raise InvalidInputError("axis sweep needs all of --v0, --v1 and --v2")
         if len(axes[0]) * len(axes[1]) * len(axes[2]) > MAX_GRID_CELLS:
             raise InvalidInputError("grid is too large")
-        cells = grid_cells(*axes)
+        cells = itertools.product(*axes)
     rows = sweep(
         cells,
         coordinate=args.m,

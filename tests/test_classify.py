@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -21,9 +22,9 @@ from ternary_dynamics import (
     compute_equilibrium,
     contraction_factor,
     estimate_limit,
-    grid_cells,
     sweep,
 )
+from ternary_dynamics import cli
 from ternary_dynamics.cli import _axis
 from ternary_dynamics.serialize import sweep_to_csv
 
@@ -425,9 +426,9 @@ def test_sweep_empty_grid():
 
 
 def test_sweep_deterministic_across_runs_and_sub_grids():
-    cells = grid_cells(
+    cells = list(itertools.product(
         [round(-0.3 + 0.1 * i, 12) for i in range(7)], [0.2], [0.3]
-    )
+    ))
     init = SimplexPoint(0.5, 0.3, 0.2)
     base = sweep(cells, 0, init, simulate=True)
     assert emitted(sweep_to_csv, base) == emitted(
@@ -442,7 +443,8 @@ def test_sweep_deterministic_across_runs_and_sub_grids():
 def test_sweep_reference_grid_counts_and_output():
     # The 21^3 reference grid of ROADMAP.md; perfbench/roadmap_counts.py runs it through the CLI.
     axis = _axis("-0.9:0.9:0.09")
-    rows = sweep(grid_cells(axis, axis, axis), 0, SimplexPoint(0.5, 0.3, 0.2), simulate=True)
+    rows = sweep(list(itertools.product(axis, axis, axis)), 0, SimplexPoint(0.5, 0.3, 0.2),
+                 simulate=True)
     assert len(rows) == 9261
     assert sum(row.agreement is not None for row in rows) == 7537
     assert sum(row.agreement == "disagree" for row in rows) == 2325
@@ -452,7 +454,11 @@ def test_sweep_reference_grid_counts_and_output():
     )
 
 
-def test_grid_cells_order():
-    cells = grid_cells([1.0, 2.0], [10.0], [100.0, 200.0])
+def test_grid_cells_order(capsys):
+    # an axis sweep runs v0 outermost and v2 innermost
+    assert cli.main(["sweep", "--v0", "1:2:1", "--v1", "10", "--v2", "100:200:100",
+                     "--allow-out-of-range", "--init", "0.5,0.3,0.2"]) == 0
+    cells = [tuple(map(float, line.split(",")[:3]))
+             for line in capsys.readouterr().out.splitlines()[1:]]
     assert cells == [(1.0, 10.0, 100.0), (1.0, 10.0, 200.0),
                      (2.0, 10.0, 100.0), (2.0, 10.0, 200.0)]

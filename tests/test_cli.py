@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import stat
@@ -11,8 +12,12 @@ import pytest
 
 import ternary_dynamics.cli
 import ternary_dynamics.core
-from ternary_dynamics import DegenerateClampError, classify, DirectingParams
-from ternary_dynamics.cli import main
+import ternary_dynamics.sampling
+from ternary_dynamics import (
+    DegenerateClampError, DirectingParams, SampleConfig, SimplexPoint, classify, run_replications,
+    sweep,
+)
+from ternary_dynamics.cli import _axis, main
 
 ATTRACTIVE = "0.1,0.1,0.1"
 DEMO_CELLS = "0.1,0.1,0.1;-0.2,0.5,-0.4;-0.1,0.3,0.2;0.3,-0.1,0.2"
@@ -127,6 +132,34 @@ def test_simulate_degenerate_clamp_exit_code(capsys, monkeypatch, tmp_path):
     assert code == 4
     assert "step 1" in err
     assert not target.exists()
+
+
+def test_stochastic_degenerate_clamp_names_replication_and_step(capsys, monkeypatch):
+    steps = 3
+    real_step = ternary_dynamics.sampling._clamped_step
+
+    def fail_at_replication_1_step_2():
+        calls = []
+
+        def step(rows, state):
+            calls.append(state)
+            if len(calls) == steps + 2:
+                raise DegenerateClampError("clamping removed all probability mass")
+            return real_step(rows, state)
+
+        monkeypatch.setattr(ternary_dynamics.sampling, "_clamped_step", step)
+
+    message = "replication 1, step 2: clamping removed all probability mass"
+    fail_at_replication_1_step_2()
+    cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=steps)
+    with pytest.raises(DegenerateClampError) as info:
+        run_replications(DirectingParams(0.1, 0.1, 0.1), (0.5, 0.3, 0.2), cfg)
+    assert type(info.value) is DegenerateClampError
+    assert str(info.value) == message
+    fail_at_replication_1_step_2()
+    code, out, err = run(capsys, "stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2",
+                         "--n", "10", "--reps", "2", "--steps", str(steps))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
 # ----------------------------------------------------------------- classify
@@ -280,6 +313,47 @@ def test_sweep_axis_grid_order(capsys):
     assert rows[3][6] == "boundary"
 
 
+def test_axis_sweep_streams_the_grid_into_sweep(capsys, monkeypatch):
+    seen = []
+
+    def recording_sweep(cells, *args, **kwargs):
+        seen.append(cells)
+        seen.append(sweep(cells, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(ternary_dynamics.cli, "sweep", recording_sweep)
+    code, out, err = run(capsys, "sweep", "--v0", "-0.3:0.3:0.1", "--v1", "0.2",
+                         "--v2", "-0.1:0.1:0.1", "--init", "0.5,0.3,0.2", "--simulate")
+    assert (code, err) == (0, "")
+    cells, rows = seen
+    assert iter(cells) is cells  # a one-shot iterator ...
+    assert next(cells, None) is None  # ... that sweep read to its end
+    axes = (_axis("-0.3:0.3:0.1"), [0.2], _axis("-0.1:0.1:0.1"))
+    assert rows == sweep(list(itertools.product(*axes)), 0, SimplexPoint(0.5, 0.3, 0.2),
+                         simulate=True)
+    assert len(out.splitlines()) == 1 + 7 * 3
+
+
+@pytest.mark.parametrize("spec, values", [
+    # a value needs more than 12 decimals
+    ("1e-13:5e-13:1e-13", ["1e-13", "2e-13", "3e-13", "4e-13", "5e-13"]),
+    ("0.1:0.1000000000005:1e-13", ["0.1", "0.1000000000001", "0.1000000000002",
+                                   "0.1000000000003", "0.1000000000004", "0.1000000000005"]),
+    ("1e-13:1e-13:1", ["1e-13"]),
+    # no value passes stop
+    ("0:0.9999999999:1", ["0.0"]),
+    # the float error of start + i*step goes, the sign of a zero stays
+    ("-0.9:0.9:0.3", ["-0.9", "-0.6", "-0.3", "-0.0", "0.3", "0.6", "0.9"]),
+    ("0.9:-0.9:-0.45", ["0.9", "0.45", "0.0", "-0.45", "-0.9"]),
+])
+def test_sweep_axis_values_are_the_exact_decimals(capsys, spec, values):
+    assert list(map(repr, _axis(spec))) == values
+    code, out, err = run(capsys, "sweep", "--v0", spec, "--v1", "0.2", "--v2", "0.3",
+                         "--init", "0.5,0.3,0.2")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == values
+
+
 def test_sweep_rejects_conflicting_grid_specs(capsys):
     code, _, _ = run(capsys, "sweep", "--cells", DEMO_CELLS, "--v0", "0.1",
                      "--m", "0", "--init", "0.5,0.3,0.2")
@@ -318,6 +392,9 @@ def test_sweep_simulate_continues_past_matrix_overflow_cell(capsys):
     ("1:2", "expected NUMBER or START:STOP:STEP, got '1:2'"),
     ("a:b:c", "expected NUMBER or START:STOP:STEP, got 'a:b:c'"),
     ("1:0:0.1", "range '1:0:0.1' is empty"),
+    ("0:1:inf", "range step must be nonzero and finite"),
+    ("1:1.0000000000000002:1e-17",
+     "range '1:1.0000000000000002:1e-17' has values closer than float spacing"),
 ])
 def test_sweep_rejects_malformed_axis_spec(capsys, spec, message):
     code, out, err = run(capsys, "sweep", "--v0", spec, "--v1", "0.1", "--v2", "0.1",

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -14,7 +15,6 @@ from ternary_dynamics import (
     SweepRow,
     classify,
     compute_equilibrium,
-    grid_cells,
     lln_diagnostic,
     run_replications,
     sweep,
@@ -194,7 +194,7 @@ class RecordingStream:
                          ids=["csv", "json"])
 def test_sweep_emitters_write_each_row_as_it_is_formatted(emit):
     axis = [round(-0.9 + 0.18 * i, 12) for i in range(11)]
-    rows = sweep(grid_cells(axis, axis, axis), 0, SimplexPoint(0.5, 0.3, 0.2))
+    rows = sweep(list(itertools.product(axis, axis, axis)), 0, SimplexPoint(0.5, 0.3, 0.2))
     assert len(rows) == 1331
     stream = RecordingStream()
     emit(stream, rows)
