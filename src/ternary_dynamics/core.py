@@ -12,9 +12,9 @@ components may leave ``[0, 1]``.  Two steppers are provided:
   snaps near-vertex states to the exact absorbing unit vector, so boundary
   limits 0 and 1 are reachable.
 
-The parameter, state and equilibrium types are immutable tuples that
-validate their components on construction; the steppers take and return
-them as they are.
+The parameter, state and equilibrium types are immutable tuples, validated once
+where a value enters.  The kernel steps in floats, and the states that the
+clamp or the multinomial draws build are not checked again.
 """
 
 import math
@@ -181,8 +181,11 @@ class Equilibrium(_Validated, namedtuple("Equilibrium", "rho0 rho1 rho2 v_denomi
 
 
 def build_regression_matrix(params):
-    """Rows of the matrix with diagonal entries 2*v_m and column-n off-diagonal entries -v_n."""
-    v0, v1, v2 = params
+    """Rows of the matrix with diagonal entries 2*v_m and column-n off-diagonal entries -v_n.
+
+    The parameters are read as floats, so the kernel steps in double precision.
+    """
+    v0, v1, v2 = map(float, params)
     rows = (
         (2.0 * v0, -v1, -v2),
         (-v0, 2.0 * v1, -v2),
@@ -271,6 +274,7 @@ def _clamped_step(rows, p):
 
 def step_raw(params, state):
     """One unclamped linear step; conserves the component sum only."""
+    state = RawState.of(state)
     rows = build_regression_matrix(params)
     return RawState(*_raw_step(rows, state))
 
@@ -284,7 +288,7 @@ def step_clamped(params, state):
     """
     state = SimplexPoint.of(state)
     rows = build_regression_matrix(params)
-    return SimplexPoint(*_clamped_step(rows, state))
+    return tuple.__new__(SimplexPoint, _clamped_step(rows, state))
 
 
 def _count(value, what):
@@ -309,15 +313,12 @@ def trajectory(params, init, steps, mode="raw"):
     if mode not in ("raw", "clamped"):
         raise InvalidInputError(f"mode must be 'raw' or 'clamped', got {mode!r}")
     rows = build_regression_matrix(params)
-    if mode == "clamped":
-        wrap, advance = SimplexPoint, _clamped_step
-    else:
-        wrap, advance = RawState, _raw_step
-    p = wrap.of(init)
+    p = (SimplexPoint if mode == "clamped" else RawState).of(init)
     out = [p]
     for k in range(steps):
         try:
-            p = wrap(*advance(rows, p))
+            p = (tuple.__new__(SimplexPoint, _clamped_step(rows, p)) if mode == "clamped"
+                 else RawState(*_raw_step(rows, p)))
         except ModelError as exc:
             raise type(exc)(f"step {k + 1}: {exc}") from exc
         out.append(p)

@@ -104,9 +104,8 @@ def replication_stream(seed, replication):
 def stochastic_step(params, freq, n, rng):
     """One stochastic stage: clamped target, then empirical frequencies of n draws."""
     n = _sample_volume(n, "sample volume")
-    target = step_clamped(params, freq)
-    c0, c1, c2 = rng.multinomial(n, target).tolist()
-    return SimplexPoint(c0 / n, c1 / n, c2 / n)
+    c0, c1, c2 = rng.multinomial(n, step_clamped(params, freq)).tolist()
+    return tuple.__new__(SimplexPoint, (c0 / n, c1 / n, c2 / n))
 
 
 def run_replications(params, init, cfg):
