@@ -8,11 +8,20 @@ from the counter-based Philox stream keyed by ``(seed, r)``, which makes
 runs bit-reproducible and replications independent without any shared
 generator state.
 
+Because replication ``r`` depends on nothing but ``(seed, r)``, a large
+run splits its replications into contiguous chunks and runs them in worker
+processes, one per CPU the process may use.  The output is the same bits
+for any CPU count, and there is no option for it: a process that may use
+one CPU or runs other threads, or a run too small to pay for starting the
+workers, runs every replication in the calling process.
+
 numpy is needed only here, and is imported on the first draw
 (:func:`replication_stream`), not with the package: ``import
-ternary_dynamics`` and the deterministic commands never load it.
+ternary_dynamics`` and the deterministic commands never load it, nor
+``multiprocessing``, which only a run that starts workers imports.
 """
 
+import os
 from collections import namedtuple
 from itertools import chain, repeat
 from operator import sub, truediv
@@ -108,38 +117,113 @@ def stochastic_step(params, freq, n, rng):
     return tuple.__new__(SimplexPoint, (c0 / n, c1 / n, c2 / n))
 
 
+def _replicate(rows, init, n, seed, r, steps):
+    """Draw counts of replication ``r``: one triple of ints summing to ``n`` per step."""
+    rng = replication_stream(seed, r)
+    state = init
+    counts = []
+    for k in range(steps):
+        try:
+            target = _clamped_step(rows, state)
+        except ModelError as exc:
+            raise type(exc)(f"replication {r}, step {k + 1}: {exc}") from exc
+        c0, c1, c2 = rng.multinomial(n, target).tolist()
+        counts.append((c0, c1, c2))
+        state = (c0 / n, c1 / n, c2 / n)
+    return counts
+
+
+def _run_chunk(task):
+    """Results of replications ``start``..``stop - 1`` at volume ``n``, in order.
+
+    A replication's result is its counts.  Given the flattened clamped path
+    ``ref`` (stages 1..steps), it is only the replication's largest gap to
+    that path, so the counts are dropped where they were drawn.
+    """
+    rows, init, n, seed, steps, ref, start, stop = task
+    results = []
+    for r in range(start, stop):
+        counts = _replicate(rows, init, n, seed, r, steps)
+        # Stage 0 is ``init`` on both paths, a gap of 0.0: the ``default`` of ``max``.
+        results.append(counts if ref is None else max(
+            map(abs, map(sub, map(truediv, chain.from_iterable(counts), repeat(n)), ref)),
+            default=0.0))
+    return results
+
+
+# A run of fewer stages (replications x steps, summed over volumes) stays in
+# the calling process.  On a 2-vCPU host, starting and stopping two forked
+# workers took 13 ms (median of 15, range 10-29 ms), and ``lln_diagnostic``
+# over three volumes (medians of 7, three sessions) broke even near 10,000
+# stages (~55-66 ms either way) and saved 2-31 ms of 88-128 ms at 20,000.
+_POOL_MIN_STAGES = 20_000
+
+
+def _usable_cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _may_fork():
+    """Whether this process can fork safely: a child gets other threads' locks, held or not."""
+    import threading
+
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _map_replications(rows, init, volumes, cfg, ref=None):
+    """Per volume, the :func:`_run_chunk` result of every replication, in replication order.
+
+    Each volume's replications are split into contiguous chunks, one per
+    CPU.  A run of at least ``_POOL_MIN_STAGES`` stages, in a process that
+    may use several CPUs and runs no other thread, runs them all in one pool
+    of forked workers; any other run, in this process.  Either way the first
+    error in replication order is raised with its type and message, and no
+    worker is left when this returns.
+    """
+    reps, steps, seed = cfg.replications, cfg.steps, cfg.seed
+    cpus = _usable_cpus()
+    size = -(-reps // cpus)
+    tasks = [(rows, init, n, seed, steps, ref, start, min(start + size, reps))
+             for n in volumes for start in range(0, reps, size)]
+    workers = min(cpus, len(tasks))
+    if workers < 2 or reps * steps * len(volumes) < _POOL_MIN_STAGES or not _may_fork():
+        chunks = list(map(_run_chunk, tasks))
+    else:
+        import multiprocessing
+
+        replication_stream(seed, 0)  # loads numpy before the fork, once for every worker
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            # imap yields in task order: the first error is the lowest failing replication's
+            chunks = list(pool.imap(_run_chunk, tasks))
+        finally:
+            pool.terminate()
+            pool.join()
+    per_volume = len(tasks) // len(volumes)
+    return [list(chain.from_iterable(chunks[i:i + per_volume]))
+            for i in range(0, len(chunks), per_volume)]
+
+
 def run_replications(params, init, cfg):
     """Independent stochastic trajectories, one per replication.
 
     Identical ``(params, init, cfg)`` reproduce bit-identical output, and
-    replication ``r`` depends only on ``(seed, r)``, not on how many
-    replications run.  A failing step is re-raised with its replication
-    and step attached.
+    replication ``r`` depends only on ``(seed, r)``: not on how many
+    replications run, nor on how many CPUs run them.  A failing step is
+    re-raised with its replication and step attached.
     """
     init = SimplexPoint.of(init)
-    rows = build_regression_matrix(params)
     n = cfg.sample_volume
-    trajectories = []
-    for r in range(cfg.replications):
-        rng = replication_stream(cfg.seed, r)
-        state = init
-        counts = []
-        for k in range(cfg.steps):
-            try:
-                target = _clamped_step(rows, state)
-            except ModelError as exc:
-                raise type(exc)(f"replication {r}, step {k + 1}: {exc}") from exc
-            c0, c1, c2 = rng.multinomial(n, target).tolist()
-            counts.append((c0, c1, c2))
-            state = (c0 / n, c1 / n, c2 / n)
-        trajectories.append(EmpiricalTrajectory(
-            replication=r,
-            seed=cfg.seed,
-            sample_volume=n,
-            init=tuple(init),
-            counts=tuple(counts),
-        ))
-    return tuple(trajectories)
+    [counts] = _map_replications(build_regression_matrix(params), init, [n], cfg)
+    return tuple(
+        EmpiricalTrajectory(replication=r, seed=cfg.seed, sample_volume=n, init=tuple(init),
+                            counts=tuple(c))
+        for r, c in enumerate(counts)
+    )
 
 
 class DeviationRow(NamedTuple):
@@ -155,7 +239,9 @@ def lln_diagnostic(params, init, volumes, cfg):
 
     For each volume the deviation of a replication is the maximum over all
     stages and components of the absolute gap to the deterministic clamped
-    trajectory; the table reports the median across replications.
+    trajectory; the table reports the median across replications.  Each
+    replication is reduced to its deviation where it runs, so no volume's
+    counts are ever held at once.
     """
     import statistics
 
@@ -164,20 +250,11 @@ def lln_diagnostic(params, init, volumes, cfg):
         raise InvalidInputError("volumes must be nonempty")
     if any(b <= a for a, b in zip(volumes, volumes[1:])):
         raise InvalidInputError(f"volumes must be strictly increasing, got {volumes}")
-    # Stage 0 is ``init`` on both paths, a gap of 0.0: the ``default`` of ``max`` below.
-    flat_ref = list(chain.from_iterable(trajectory(params, init, cfg.steps, mode="clamped")[1:]))
-
-    rows = []
-    for n in volumes:
-        trajs = run_replications(params, init, cfg._replace(sample_volume=n))
-        deviations = [
-            max(map(abs, map(sub, map(truediv, chain.from_iterable(traj.counts), repeat(n)),
-                             flat_ref)), default=0.0)
-            for traj in trajs
-        ]
-        rows.append(DeviationRow(
-            sample_volume=n,
-            median_max_deviation=statistics.median(deviations),
-            replications=cfg.replications,
-        ))
-    return rows
+    ref = list(chain.from_iterable(trajectory(params, init, cfg.steps, mode="clamped")[1:]))
+    deviations = _map_replications(build_regression_matrix(params), SimplexPoint.of(init),
+                                   volumes, cfg, ref)
+    return [
+        DeviationRow(sample_volume=n, median_max_deviation=statistics.median(d),
+                     replications=cfg.replications)
+        for n, d in zip(volumes, deviations)
+    ]

@@ -755,13 +755,13 @@ def test_closed_stdout_pipe_ends_the_run_quietly():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-# Runs in a fresh interpreter: prints, as JSON, which of numpy and statistics
-# are loaded after each import and each cli.main call.
+# Runs in a fresh interpreter: prints, as JSON, which of numpy, statistics and
+# multiprocessing are loaded after each import and each cli.main call.
 LOADED_AFTER = """
 import json, sys
 out_dir = sys.argv[1]
 def loaded():
-    return [name for name in ("numpy", "statistics") if name in sys.modules]
+    return [name for name in ("numpy", "statistics", "multiprocessing") if name in sys.modules]
 import ternary_dynamics
 seen = {"import ternary_dynamics": loaded()}
 import ternary_dynamics.cli as cli

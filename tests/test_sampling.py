@@ -1,5 +1,9 @@
 import io
+import multiprocessing
 import statistics
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -22,6 +26,7 @@ from ternary_dynamics import (
     stochastic_step,
     trajectory,
 )
+from ternary_dynamics.cli import main
 from ternary_dynamics.core import _clamped_step, build_regression_matrix
 from ternary_dynamics.serialize import deviation_table_to_csv, replications_to_csv
 
@@ -366,7 +371,7 @@ def test_lln_diagnostic_rejects_a_bad_volume_before_any_work(monkeypatch):
     def fail(*args):
         raise AssertionError("replications ran before every volume was checked")
 
-    monkeypatch.setattr(ternary_dynamics.sampling, "run_replications", fail)
+    monkeypatch.setattr(ternary_dynamics.sampling, "_replicate", fail)
     cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=2)
     with pytest.raises(InvalidInputError, match=r"sample volume must be < 2\*\*63"):
         lln_diagnostic(PARAMS, INIT, [10, 2**63], cfg)
@@ -379,3 +384,193 @@ def test_deviation_table_serialization_round():
     lines = text.splitlines()
     assert lines[0] == "n,median_max_deviation,replications"
     assert len(lines) == 3
+
+
+# -------------------------------------------------------- worker processes
+#
+# A run of at least ``_POOL_MIN_STAGES`` stages in a process that may use
+# several CPUs runs its replications in forked workers.  The fixtures below
+# choose the path whatever the host.  ``pooled`` lowers the stage threshold
+# to 0 and reports 3 CPUs, so 5 or 7 replications split into uneven chunks;
+# ``_both_paths`` also reports 1 CPU for an in-process run.  Both record the
+# contexts asked for, so a test can tell whether a pool ran.
+
+
+def _recording_contexts(monkeypatch):
+    started = []
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        started.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return started
+
+
+def _force_pool(monkeypatch):
+    monkeypatch.setattr(ternary_dynamics.sampling, "_POOL_MIN_STAGES", 0)
+    monkeypatch.setattr(ternary_dynamics.sampling, "_usable_cpus", lambda: 3)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    _force_pool(monkeypatch)
+    return _recording_contexts(monkeypatch)
+
+
+def _both_paths(monkeypatch, call):
+    """``call()`` in this process, then in a pool of forked workers.
+
+    Returns both results and checks that exactly the second call started a
+    pool, and that no worker outlives either call.
+    """
+    started = _recording_contexts(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(ternary_dynamics.sampling, "_usable_cpus", lambda: 1)
+        alone = call()
+    assert started == [] and multiprocessing.active_children() == []
+    with monkeypatch.context() as m:
+        _force_pool(m)
+        pooled = call()
+    assert started == ["fork"] and multiprocessing.active_children() == []
+    return alone, pooled
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("steps", [0, 25])
+@pytest.mark.parametrize("replications", [5, 7])
+def test_run_replications_in_workers_matches_in_process_and_reference(monkeypatch, case, seed,
+                                                                       steps, replications):
+    params, init = IDENTITY_CASES[case]
+    cfg = SampleConfig(sample_volume=10, replications=replications, seed=seed, steps=steps)
+    alone, pooled = _both_paths(monkeypatch, lambda: run_replications(params, init, cfg))
+    assert repr(pooled) == repr(alone) == repr(reference_run_replications(params, init, cfg))
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("steps", [0, 25])
+@pytest.mark.parametrize("volumes, replications", [
+    ([10_000], 7), ([1, 7], 1), ([1, 7], 5), (IDENTITY_VOLUMES, 7),
+])
+def test_lln_diagnostic_in_workers_matches_in_process_and_reference(monkeypatch, case, seed, steps,
+                                                                    volumes, replications):
+    params, init = IDENTITY_CASES[case]
+    cfg = SampleConfig(sample_volume=1, replications=replications, seed=seed, steps=steps)
+    alone, pooled = _both_paths(monkeypatch, lambda: lln_diagnostic(params, init, volumes, cfg))
+    assert repr(pooled) == repr(alone) == repr(
+        reference_lln_diagnostic(params, init, volumes, cfg))
+
+
+def test_a_one_chunk_run_stays_in_process(pooled):
+    # one replication of one volume cannot be split, whatever the CPU count
+    cfg = SampleConfig(sample_volume=10, replications=1, seed=0, steps=5)
+    assert run_replications(PARAMS, INIT, cfg) == reference_run_replications(PARAMS, INIT, cfg)
+    assert pooled == []
+
+
+def test_a_process_with_another_thread_does_not_fork(pooled):
+    # a forked child would inherit the other thread's locks in whatever state they are
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        cfg = SampleConfig(sample_volume=10, replications=5, seed=0, steps=5)
+        got = run_replications(PARAMS, INIT, cfg)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert pooled == []
+    assert got == reference_run_replications(PARAMS, INIT, cfg)
+
+
+def test_the_stage_threshold_is_measured_in_stages_of_the_whole_run(monkeypatch):
+    sampling = ternary_dynamics.sampling
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+    started = _recording_contexts(monkeypatch)
+    # 7 replications x 5 steps x 2 volumes = 70 stages
+    cfg = SampleConfig(sample_volume=10, replications=7, seed=0, steps=5)
+    monkeypatch.setattr(sampling, "_POOL_MIN_STAGES", 71)
+    lln_diagnostic(PARAMS, INIT, [10, 100], cfg)
+    assert started == []
+    monkeypatch.setattr(sampling, "_POOL_MIN_STAGES", 70)
+    lln_diagnostic(PARAMS, INIT, [10, 100], cfg)
+    assert started == ["fork"]
+    assert multiprocessing.active_children() == []
+
+
+# Replications 2 and 5 of the (seed 5, n = 1000) run fail: 2 at its last step,
+# after a pause, and 5 at its second.  With 3 CPUs and 7 replications they
+# fall in different chunks, and replication 5's error reaches the caller first.
+FAIL_CFG = SampleConfig(sample_volume=1000, replications=7, seed=5, steps=6)
+FAIL_AT = {2: 6, 5: 2}
+FAIL_PAUSE_S = {2: 0.3, 5: 0.0}
+FAIL_MESSAGE = "replication 2, step 6: clamping removed all probability mass"
+
+
+@pytest.fixture
+def failing_replications(monkeypatch):
+    """Make ``_clamped_step`` fail on the states that replications 2 and 5 reach.
+
+    The failure is chosen by state, not by a count of calls, so it is the
+    same in whichever process a replication runs.
+    """
+    trajs = reference_run_replications(PARAMS, INIT, FAIL_CFG)
+    poisoned = {tuple(trajs[r].points[step - 1]): FAIL_PAUSE_S[r] for r, step in FAIL_AT.items()}
+    # each poisoned state is reached by one replication only, and not before its step
+    for traj in trajs:
+        hits = [k + 1 for k, point in enumerate(traj.points[:-1]) if tuple(point) in poisoned]
+        assert hits == ([FAIL_AT[traj.replication]] if traj.replication in FAIL_AT else [])
+    real_step = ternary_dynamics.sampling._clamped_step
+
+    def step(rows, state):
+        if tuple(state) in poisoned:
+            time.sleep(poisoned[tuple(state)])
+            raise DegenerateClampError("clamping removed all probability mass")
+        return real_step(rows, state)
+
+    monkeypatch.setattr(ternary_dynamics.sampling, "_clamped_step", step)
+
+
+@pytest.mark.usefixtures("failing_replications")
+@pytest.mark.parametrize("volumes", [[1000], [1000, 10_000]])
+def test_the_lowest_failing_replication_raises_in_workers_as_in_process(monkeypatch, volumes):
+    def outcome():
+        with pytest.raises(DegenerateClampError) as info:
+            if len(volumes) == 1:
+                run_replications(PARAMS, INIT, FAIL_CFG)
+            else:
+                lln_diagnostic(PARAMS, INIT, volumes, FAIL_CFG)
+        return type(info.value), str(info.value)
+
+    alone, pooled = _both_paths(monkeypatch, outcome)
+    assert alone == pooled == (DegenerateClampError, FAIL_MESSAGE)
+
+
+@pytest.mark.usefixtures("failing_replications")
+@pytest.mark.parametrize("volumes", ["1000", "1000,10000"])
+def test_the_cli_exits_4_with_the_same_error_from_workers(monkeypatch, capsys, volumes):
+    def outcome():
+        code = main(["stochastic", "--v", "0.1,0.1,0.1", "--init", "0.5,0.3,0.2",
+                     "--n", volumes, "--reps", "7", "--seed", "5", "--steps", "6"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone, pooled = _both_paths(monkeypatch, outcome)
+    assert alone == pooled == (4, "", f"error: {FAIL_MESSAGE}\n")
+
+
+def test_no_worker_outlives_a_cli_run_into_a_closed_pipe(pooled, monkeypatch):
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["stochastic", "--v", "0.1,0.1,0.1", "--init", "0.5,0.3,0.2", "--n", "10,100",
+              "--reps", "5", "--seed", "5", "--steps", "6"])
+    assert pooled == ["fork"]
+    assert multiprocessing.active_children() == []
