@@ -243,6 +243,15 @@ class SweepRow(NamedTuple):
     flags: tuple
 
 
+def _check_sweep_settings(coordinate, init, tol, max_steps, agreement_tol):
+    """:func:`sweep`'s checks of its settings; returns the coordinate and the start point."""
+    coordinate = _check_coordinate(coordinate)
+    if not agreement_tol > 0.0:
+        raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
+    _check_limit_settings(tol, max_steps, DEFAULT_WINDOW)
+    return coordinate, SimplexPoint.of(init)
+
+
 def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=False, *,
           bound_check=True, tol=1e-10, max_steps=10000, agreement_tol=1e-6):
     """Classify every parameter triple in ``cells``; one row per cell, in input order.
@@ -260,11 +269,7 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     ``agreement_tol`` are checked before the first cell, with or without ``simulate``;
     a cell that is not three numbers raises :class:`InvalidInputError` when the loop reaches it.
     """
-    coordinate = _check_coordinate(coordinate)
-    if not agreement_tol > 0.0:
-        raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
-    _check_limit_settings(tol, max_steps, DEFAULT_WINDOW)
-    init = SimplexPoint.of(init)
+    coordinate, init = _check_sweep_settings(coordinate, init, tol, max_steps, agreement_tol)
     start = init[coordinate]
     rows = []
     for cell in cells:

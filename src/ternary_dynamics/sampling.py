@@ -21,12 +21,12 @@ ternary_dynamics`` and the deterministic commands never load it, nor
 ``multiprocessing``, which only a run that starts workers imports.
 """
 
-import os
 from collections import namedtuple
 from itertools import chain, repeat
 from operator import sub, truediv
 from typing import NamedTuple
 
+from . import _pool
 from .core import (
     InvalidInputError,
     ModelError,
@@ -159,50 +159,25 @@ def _run_chunk(task):
 _POOL_MIN_STAGES = 20_000
 
 
-def _usable_cpus():
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux
-        return os.cpu_count() or 1
-
-
-def _may_fork():
-    """Whether this process can fork safely: a child gets other threads' locks, held or not."""
-    import threading
-
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
 def _map_replications(rows, init, volumes, cfg, ref=None):
     """Per volume, the :func:`_run_chunk` result of every replication, in replication order.
 
     Each volume's replications are split into contiguous chunks, one per
-    CPU.  A run of at least ``_POOL_MIN_STAGES`` stages, in a process that
-    may use several CPUs and runs no other thread, runs them all in one pool
-    of forked workers; any other run, in this process.  Either way the first
-    error in replication order is raised with its type and message, and no
-    worker is left when this returns.
+    CPU.  A run of at least ``_POOL_MIN_STAGES`` stages runs them all in
+    forked workers when :func:`._pool.workers_for` allows it; any other run,
+    in this process.  Either way the first error in replication order is
+    raised with its type and message, and no worker is left when this
+    returns.
     """
     reps, steps, seed = cfg.replications, cfg.steps, cfg.seed
-    cpus = _usable_cpus()
-    size = -(-reps // cpus)
+    size = -(-reps // _pool._usable_cpus())
     tasks = [(rows, init, n, seed, steps, ref, start, min(start + size, reps))
              for n in volumes for start in range(0, reps, size)]
-    workers = min(cpus, len(tasks))
-    if workers < 2 or reps * steps * len(volumes) < _POOL_MIN_STAGES or not _may_fork():
-        chunks = list(map(_run_chunk, tasks))
-    else:
-        import multiprocessing
-
+    workers = _pool.workers_for(len(tasks), reps * steps * len(volumes), _POOL_MIN_STAGES)
+    if workers:
         replication_stream(seed, 0)  # loads numpy before the fork, once for every worker
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        try:
-            # imap yields in task order: the first error is the lowest failing replication's
-            chunks = list(pool.imap(_run_chunk, tasks))
-        finally:
-            pool.terminate()
-            pool.join()
+    with _pool.ordered_map(_run_chunk, tasks, workers) as results:
+        chunks = list(results)
     per_volume = len(tasks) // len(volumes)
     return [list(chain.from_iterable(chunks[i:i + per_volume]))
             for i in range(0, len(chunks), per_volume)]

@@ -7,11 +7,15 @@ endings and minimal quoting; JSON mirrors each table as a list of objects
 keyed by the column names.  Every table is a header plus rows (the records
 themselves, or those of a private row builder), written by :func:`csv_text`
 or :func:`json_text` to an open text stream, one row at a time as it is
-formatted; no emitter builds or returns the document.  A tuple cell (the
-``flags`` column) is ``;``-joined in CSV and a list in JSON.
+formatted; no emitter builds or returns the document.  :func:`csv_body`
+and :func:`json_body` format a run of rows without the header or the
+list's brackets, and a ``formatted`` writer frames such runs, so a table
+formatted in parts, in other processes too, has the bytes of one pass.  A
+tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
 """
 
 import csv
+import io
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .classify import SweepRow
@@ -36,41 +40,35 @@ def _cell(value):
     return format_float(value)
 
 
-def csv_text(out, header, rows):
+def csv_text(out, header, rows, formatted=False):
+    """Write ``header`` and ``rows`` as CSV.
+
+    With ``formatted``, each item of ``rows`` is instead the :func:`csv_body`
+    of a run of rows, written as it is.
+    """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    if formatted:
+        for text in rows:
+            out.write(text)
+    else:
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def json_text(out, header, rows, single=False):
-    """Write a list of objects keyed by ``header``, or the one object when ``single``.
+def csv_body(rows):
+    """The lines :func:`csv_text` writes for ``rows`` after the header, as one string."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
-    The text is byte-identical to ``json.JSONEncoder(indent=2).encode`` of
-    ``[dict(zip(header, row)) for row in rows]`` (or of the one object) plus
-    a newline, for the values a table holds: ``None``, ``bool``, ``int``,
-    ``float`` (``NaN``/``Infinity``/``-Infinity`` as :mod:`json` writes
-    them), ``str`` and a tuple of ``str``.  Any other value raises
-    :class:`TypeError`.  Column names must be distinct and a ``single``
-    table has exactly one row, both checked before anything is written;
-    each row has one value per column.
 
-    Each object is formatted as one string and written with its separator.
-    With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
-    per token, millions of them for a large sweep.
-    """
-    if len(set(header)) != len(header):
-        raise ValueError(f"column names must be distinct, got {header!r}")
-    if single:
-        (row,) = rows
-        rows = [row]
-    pad = "" if single else "  "
+def _json_objects(header, rows, pad):
+    """The object :func:`json_text` writes for each row, one string each, indented by ``pad``."""
     fields = ",".join(f"\n{pad}  " + _json_str(key).replace("%", "%%") + ": %s" for key in header)
     template = "{" + fields + (f"\n{pad}}}" if header else "}")
     open_list = f"[\n{pad}    "
     next_item = f",\n{pad}    "
     close_list = f"\n{pad}  ]"
-    separator = "" if single else "[\n  "
     for row in rows:
         texts = []
         for value in row:
@@ -91,10 +89,44 @@ def json_text(out, header, rows, single=False):
             else:
                 raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
             texts.append(text)
-        out.write(separator + template % tuple(texts))
+        yield template % tuple(texts)
+
+
+def json_text(out, header, rows, single=False, formatted=False):
+    """Write a list of objects keyed by ``header``, or the one object when ``single``.
+
+    The text is byte-identical to ``json.JSONEncoder(indent=2).encode`` of
+    ``[dict(zip(header, row)) for row in rows]`` (or of the one object) plus
+    a newline, for the values a table holds: ``None``, ``bool``, ``int``,
+    ``float`` (``NaN``/``Infinity``/``-Infinity`` as :mod:`json` writes
+    them), ``str`` and a tuple of ``str``.  Any other value raises
+    :class:`TypeError`.  Column names must be distinct and a ``single``
+    table has exactly one row, both checked before anything is written;
+    each row has one value per column.  With ``formatted``, each item of
+    ``rows`` is instead the :func:`json_body` of a nonempty run of rows.
+
+    Each object is formatted as one string and written with its separator.
+    With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
+    per token, millions of them for a large sweep.
+    """
+    if len(set(header)) != len(header):
+        raise ValueError(f"column names must be distinct, got {header!r}")
+    if single:
+        (row,) = rows
+        (text,) = _json_objects(header, [row], "")
+        out.write(text + "\n")
+        return
+    separator = "[\n  "
+    for text in rows if formatted else _json_objects(header, rows, "  "):
+        out.write(separator + text)
         separator = ",\n  "
     # separator is still the opening bracket when the list has no row
-    out.write("\n" if single else "[]\n" if separator == "[\n  " else "\n]\n")
+    out.write("[]\n" if separator == "[\n  " else "\n]\n")
+
+
+def json_body(header, rows):
+    """The objects :func:`json_text` writes for ``rows``, with their separators, as one string."""
+    return ",\n  ".join(_json_objects(header, rows, "  "))
 
 
 TRAJECTORY_HEADER = ["k", "p0", "p1", "p2"]
@@ -153,12 +185,12 @@ def classification_to_json(out, report, predicted, flags=()):
 SWEEP_HEADER = list(SweepRow._fields)
 
 
-def sweep_to_csv(out, rows):
-    csv_text(out, SWEEP_HEADER, rows)
+def sweep_to_csv(out, rows, formatted=False):
+    csv_text(out, SWEEP_HEADER, rows, formatted=formatted)
 
 
-def sweep_to_json(out, rows):
-    json_text(out, SWEEP_HEADER, rows)
+def sweep_to_json(out, rows, formatted=False):
+    json_text(out, SWEEP_HEADER, rows, formatted=formatted)
 
 
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ternary_dynamics._pool
 import ternary_dynamics.sampling
 from ternary_dynamics import (
     DegenerateClampError,
@@ -410,7 +411,7 @@ def _recording_contexts(monkeypatch):
 
 def _force_pool(monkeypatch):
     monkeypatch.setattr(ternary_dynamics.sampling, "_POOL_MIN_STAGES", 0)
-    monkeypatch.setattr(ternary_dynamics.sampling, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
 
 
 @pytest.fixture
@@ -427,7 +428,7 @@ def _both_paths(monkeypatch, call):
     """
     started = _recording_contexts(monkeypatch)
     with monkeypatch.context() as m:
-        m.setattr(ternary_dynamics.sampling, "_usable_cpus", lambda: 1)
+        m.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 1)
         alone = call()
     assert started == [] and multiprocessing.active_children() == []
     with monkeypatch.context() as m:
@@ -489,7 +490,7 @@ def test_a_process_with_another_thread_does_not_fork(pooled):
 
 def test_the_stage_threshold_is_measured_in_stages_of_the_whole_run(monkeypatch):
     sampling = ternary_dynamics.sampling
-    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
     started = _recording_contexts(monkeypatch)
     # 7 replications x 5 steps x 2 volumes = 70 stages
     cfg = SampleConfig(sample_volume=10, replications=7, seed=0, steps=5)
