@@ -108,17 +108,20 @@ def _check_coordinate(coordinate):
 
 
 def classify(params, coordinate=0):
-    """Scenario of one coordinate from the sign of v_m and the location of rho_m."""
-    coordinate = _check_coordinate(coordinate)
+    """Scenario of one coordinate from the sign of v_m and the location of rho_m.
+
+    A plain ``int`` 0, 1 or 2 skips the coordinate check; ``True`` or ``numpy.int64(1)`` becomes 1.
+    """
+    if type(coordinate) is not int or not 0 <= coordinate <= 2:
+        coordinate = _check_coordinate(coordinate)
     eq = compute_equilibrium(params)
     v_m = params[coordinate]
     rho_m = eq[coordinate]
-    flags = []
-    if v_m == 0.0:
-        flags.append("v_zero")
-    if min(abs(rho_m), abs(rho_m - 1.0)) <= BOUNDARY_TOL:
-        flags.append("rho_boundary")
-    if flags:
+    on_boundary = abs(rho_m) <= BOUNDARY_TOL or abs(rho_m - 1.0) <= BOUNDARY_TOL
+    if v_m == 0.0 or on_boundary:
+        flags = ["v_zero"] if v_m == 0.0 else []
+        if on_boundary:
+            flags.append("rho_boundary")
         raise BoundaryCaseError(
             f"no scenario for coordinate {coordinate}: v_m = {v_m!r}, rho_m = {rho_m!r}",
             flags=flags,
@@ -131,14 +134,8 @@ def classify(params, coordinate=0):
     else:
         scenario = Scenario.DOMINANT if v_m < 0.0 else Scenario.DEGENERATE
         predicted = 1.0 if scenario is Scenario.DOMINANT else 0.0
-    return ScenarioReport(
-        coordinate=coordinate,
-        scenario=scenario,
-        rho_m=rho_m,
-        v_m=v_m,
-        predicted_limit=predicted,
-        contraction_factor=contraction_factor(params),
-    )
+    return tuple.__new__(ScenarioReport, (coordinate, scenario, rho_m, v_m, predicted,
+                                          contraction_factor(params)))
 
 
 def _check_limit_settings(tol, max_steps, window):
@@ -286,7 +283,8 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
         except InvalidInputError:
             scenario = "invalid_params"
         else:
-            flags += _range_flags(params, bound_check)
+            if not bound_check:
+                flags += _range_flags(params)
             try:
                 report = classify(params, coordinate)
             except NoEquilibriumError:
@@ -295,7 +293,7 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
                 scenario, rho_m, contraction = "boundary", exc.rho_m, contraction_factor(params)
                 flags += exc.flags
         if report is not None:
-            scenario, rho_m = report.scenario.value, report.rho_m
+            scenario, rho_m = report.scenario._value_, report.rho_m
             contraction = report.contraction_factor
             try:
                 predicted = report.resolve_limit(start)
@@ -317,6 +315,7 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
                     if predicted is not None:
                         check = check_agreement(report, estimate, init, tol=agreement_tol)
                         agreement = "agree" if check.agree else "disagree"
-        rows.append(SweepRow(v0, v1, v2, coordinate, rho_m, triple[coordinate], scenario,
-                             predicted, contraction, simulated, agreement, tuple(sorted(flags))))
+        rows.append(tuple.__new__(SweepRow, (
+            v0, v1, v2, coordinate, rho_m, triple[coordinate], scenario, predicted, contraction,
+            simulated, agreement, tuple(sorted(flags)) if flags else ())))
     return rows

@@ -307,11 +307,13 @@ def _cmd_classify(args):
 # chunks of _SWEEP_CHUNK_CELLS cells on forked workers that return their
 # rows as text.  On a 2-vCPU host (fresh interpreters, 11 alternating pairs
 # of cli.main calls per grid, classify-only: the cheapest cells), the
-# workers lost at 3,375 cells (0.089 s in-process, 0.100 s pooled, JSON),
-# broke even at 4,096 (0.104 s and 0.103 s JSON; 0.112 s and 0.100 s CSV),
-# and won every pair at 5,832 (0.171 s and 0.145 s JSON; 0.192 s and
-# 0.147 s CSV).
-_SWEEP_POOL_MIN_CELLS = 5_000
+# workers lost at 5,832 cells (0.119 s in-process, 0.146 s pooled, JSON;
+# 1 pair of 11 won), broke even from 6,859 to 9,261 (4 to 8 pairs won, JSON
+# and CSV), and won at 10,648 (0.207 s and 0.178 s JSON, 7 pairs won;
+# 0.241 s and 0.190 s CSV, 10 won).  The threshold sits low in that band:
+# a --simulate cell costs far more, and the 21^3 --simulate grid (9,261
+# cells) took 0.64 s in-process and 0.43 s pooled.
+_SWEEP_POOL_MIN_CELLS = 8_000
 _SWEEP_CHUNK_CELLS = 2_000
 
 

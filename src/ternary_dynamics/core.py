@@ -101,9 +101,9 @@ class DirectingParams(_Validated, namedtuple("DirectingParams", "v0 v1 v2")):
         return max(abs(self.v0), abs(self.v1), abs(self.v2)) <= 1.0
 
 
-def _range_flags(params, checked=False):
-    """A row's ``params_out_of_range`` flag; ``checked`` says ``params`` passed the bound check."""
-    return () if checked or params.in_model_range else ("params_out_of_range",)
+def _range_flags(params):
+    """A row's ``params_out_of_range`` flag."""
+    return () if params.in_model_range else ("params_out_of_range",)
 
 
 class _Triple(_Validated):
@@ -344,8 +344,10 @@ def contraction_factor(params):
     A value below 1 means the unclamped iteration converges to the
     equilibrium from every start.
     """
-    (a, b), (c, d) = reduced_matrix(params)
-    a, d = a + 1.0, d + 1.0
+    # reduced_matrix(params) plus the identity, written out with the same expressions
+    v0, v1, v2 = params
+    a, b = -(2.0 * v0 + v2) + 1.0, v1 - v2
+    c, d = v0 - v2, -(2.0 * v1 + v2) + 1.0
     tr = a + d
     det = a * d - b * c
     disc = tr * tr - 4.0 * det

@@ -12,20 +12,44 @@ and :func:`json_body` format a run of rows without the header or the
 list's brackets, and a ``formatted`` writer frames such runs, so a table
 formatted in parts, in other processes too, has the bytes of one pass.  A
 tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
+Within one call, a repeated float (a sweep's axis values) is formatted
+once, from a bounded map.
 """
 
 import csv
 import io
+import math
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .classify import SweepRow
 
 _float_repr = float.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Entries a writer call's float-text map holds before it starts over: a sweep row repeats
+# its axis values, while most other floats in it (rho_m, the contraction) are new.
+_FLOAT_TEXTS_MAX = 4096
 
 
 def format_float(value):
     return repr(float(value))
+
+
+def _float_text(texts, value, nonfinite=None):
+    """The text of ``value``, kept in one writer call's map ``texts`` when nonzero and finite.
+
+    ``texts`` is emptied at ``_FLOAT_TEXTS_MAX`` entries.  Zeros are not
+    kept, so ``0.0`` and ``-0.0`` (equal keys) never share a text; a NaN or
+    an infinity reads ``nonfinite[repr]`` when that exists.  Look up exact
+    floats only: a subclass may redefine equality.
+    """
+    text = _float_repr(value)
+    if not math.isfinite(value):
+        return nonfinite.get(text, text) if nonfinite else text
+    if value:
+        if len(texts) >= _FLOAT_TEXTS_MAX:
+            texts.clear()
+        texts[value] = text
+    return text
 
 
 def _cell(value):
@@ -40,6 +64,14 @@ def _cell(value):
     return format_float(value)
 
 
+def _csv_rows(rows):
+    """The cells :func:`csv_text` writes for each row, as a list of strings."""
+    floats = {}
+    for row in rows:
+        yield [(floats.get(v) or _float_text(floats, v)) if type(v) is float else _cell(v)
+               for v in row]
+
+
 def csv_text(out, header, rows, formatted=False):
     """Write ``header`` and ``rows`` as CSV.
 
@@ -52,13 +84,13 @@ def csv_text(out, header, rows, formatted=False):
         for text in rows:
             out.write(text)
     else:
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows(_csv_rows(rows))
 
 
 def csv_body(rows):
     """The lines :func:`csv_text` writes for ``rows`` after the header, as one string."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
+    csv.writer(buf, lineterminator="\n").writerows(_csv_rows(rows))
     return buf.getvalue()
 
 
@@ -69,15 +101,21 @@ def _json_objects(header, rows, pad):
     open_list = f"[\n{pad}    "
     next_item = f",\n{pad}    "
     close_list = f"\n{pad}  ]"
+    floats = {}
     for row in rows:
         texts = []
         for value in row:
-            if isinstance(value, float):
-                text = _float_repr(value)
-                if text in _NONFINITE:
-                    text = _NONFINITE[text]
+            kind = type(value)
+            if kind is float:
+                text = floats.get(value) or _float_text(floats, value, _NONFINITE)
             elif value is None:
                 text = "null"
+            elif kind is str:
+                text = _json_str(value)
+            elif kind is tuple and not value:
+                text = "[]"
+            elif isinstance(value, float):
+                text = _float_text({}, value, _NONFINITE)
             elif isinstance(value, str):
                 text = _json_str(value)
             elif isinstance(value, int):
@@ -107,7 +145,8 @@ def json_text(out, header, rows, single=False, formatted=False):
 
     Each object is formatted as one string and written with its separator.
     With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
-    per token, millions of them for a large sweep.
+    per token, millions of them for a large sweep.  A float that repeats
+    within the call is formatted once (:func:`_float_text`).
     """
     if len(set(header)) != len(header):
         raise ValueError(f"column names must be distinct, got {header!r}")

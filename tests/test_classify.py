@@ -3,9 +3,12 @@ import importlib
 import io
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ternary_dynamics import (
     BoundaryCaseError,
@@ -15,13 +18,16 @@ from ternary_dynamics import (
     LimitEstimate,
     NoEquilibriumError,
     Scenario,
+    ScenarioReport,
     SimplexPoint,
+    SweepRow,
     UnresolvedPredictionError,
     check_agreement,
     classify,
     compute_equilibrium,
     contraction_factor,
     estimate_limit,
+    reduced_matrix,
     sweep,
 )
 from ternary_dynamics import cli
@@ -165,6 +171,122 @@ def test_classification_predicates_partition_random_draws():
         expected = (Scenario.ATTRACTIVE, Scenario.REPULSIVE, Scenario.DOMINANT,
                     Scenario.DEGENERATE)[predicates.index(True)]
         assert report.scenario is expected
+
+
+# The classification rules and a classify-only sweep row, restated from the
+# paper's table without the shortcuts the package takes for speed.
+
+def restated_contraction(params):
+    (a, b), (c, d) = reduced_matrix(params)
+    a, d = a + 1.0, d + 1.0
+    tr, det = a + d, a * d - b * c
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        return max(abs((tr + root) / 2.0), abs((tr - root) / 2.0))
+    return math.nan if det < 0.0 else math.sqrt(det)
+
+
+def restated_report(params, coordinate):
+    m = operator.index(coordinate)
+    eq = compute_equilibrium(params)
+    v_m, rho_m = params[m], eq[m]
+    flags = [flag for flag, hit in (
+        ("v_zero", v_m == 0.0),
+        ("rho_boundary", min(abs(rho_m), abs(rho_m - 1.0)) <= CLASSIFY.BOUNDARY_TOL),
+    ) if hit]
+    if flags:
+        raise BoundaryCaseError("restated", flags=flags, rho_m=rho_m, v_m=v_m)
+    if 0.0 < rho_m < 1.0:
+        scenario = Scenario.ATTRACTIVE if v_m > 0.0 else Scenario.REPULSIVE
+        predicted = rho_m if v_m > 0.0 else None
+    else:
+        scenario = Scenario.DOMINANT if v_m < 0.0 else Scenario.DEGENERATE
+        predicted = 1.0 if v_m < 0.0 else 0.0
+    return ScenarioReport(coordinate=m, scenario=scenario, rho_m=rho_m, v_m=v_m,
+                          predicted_limit=predicted,
+                          contraction_factor=restated_contraction(params))
+
+
+def restated_row(cell, coordinate, init, bound_check):
+    m = operator.index(coordinate)
+    v = tuple(map(float, cell))
+    fields = dict(v0=v[0], v1=v[1], v2=v[2], coordinate=m, v_m=v[m], rho_m=None,
+                  predicted_limit=None, contraction_factor=None, simulated_limit=None,
+                  agreement=None)
+    try:
+        params = DirectingParams(*v, bound_check=bound_check)
+    except InvalidInputError:
+        return SweepRow(**fields, scenario="invalid_params", flags=())
+    flags = [] if params.in_model_range else ["params_out_of_range"]
+    try:
+        report = restated_report(params, m)
+    except NoEquilibriumError:
+        fields.update(scenario="no_equilibrium", contraction_factor=restated_contraction(params))
+    except BoundaryCaseError as exc:
+        fields.update(scenario="boundary", rho_m=exc.rho_m,
+                      contraction_factor=restated_contraction(params))
+        flags += exc.flags
+    else:
+        fields.update(scenario=report.scenario.value, rho_m=report.rho_m,
+                      contraction_factor=report.contraction_factor)
+        try:
+            fields["predicted_limit"] = report.resolve_limit(init[m])
+        except UnresolvedPredictionError:
+            flags.append("unresolved_prediction")
+    return SweepRow(**fields, flags=tuple(sorted(flags)))
+
+
+def outcome(fn, *args):
+    """``repr`` of ``fn(*args)``, or what its boundary or missing equilibrium carries."""
+    try:
+        return repr(fn(*args))
+    except BoundaryCaseError as exc:
+        return "boundary", exc.flags, repr(exc.rho_m), repr(exc.v_m)
+    except NoEquilibriumError:
+        return "no_equilibrium"
+
+
+# Grid-like values hit the exact cases: v_m = 0, rho_m on {0, 1}, V = 0 by cancellation.
+GRID_VALUES = [0.0, -0.0, 0.1, -0.1, 0.2, 0.25, -0.25, 0.3, -0.3, 0.5, -0.5, 1.0, -1.0]
+cube_values = st.one_of(st.sampled_from(GRID_VALUES), st.floats(-1.0, 1.0))
+# Outside the cube: run with bound_check=False, or become invalid_params rows.
+wild_values = st.one_of(
+    cube_values,
+    st.sampled_from([math.nan, math.inf, -math.inf, 2.0, -3.0, 1e200, -1e200, 1e308]),
+    st.floats(),
+)
+coordinates = st.one_of(st.integers(0, 2), st.booleans(), st.integers(0, 2).map(np.int64))
+starts = st.sampled_from([SimplexPoint(0.5, 0.3, 0.2), SimplexPoint(1 / 3, 1 / 3, 1 / 3)])
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(cell=st.one_of(st.tuples(cube_values, cube_values, cube_values),
+                      st.tuples(wild_values, wild_values, wild_values)),
+       coordinate=coordinates, init=starts, bound_check=st.booleans())
+@example(cell=(0.0, 0.2, 0.3), coordinate=0, init=SimplexPoint(0.5, 0.3, 0.2), bound_check=True)
+@example(cell=(0.2, 0.0, 0.3), coordinate=True, init=SimplexPoint(0.5, 0.3, 0.2),
+         bound_check=True)
+@example(cell=(0.5, 0.5, -0.25), coordinate=np.int64(2), init=SimplexPoint(0.5, 0.3, 0.2),
+         bound_check=True)
+@example(cell=(-0.5, -0.5, -0.5), coordinate=1, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3),
+         bound_check=True)
+@example(cell=(math.nan, 0.1, 0.1), coordinate=0, init=SimplexPoint(0.5, 0.3, 0.2),
+         bound_check=False)
+@example(cell=(2.0, -3.0, 0.1), coordinate=True, init=SimplexPoint(0.5, 0.3, 0.2),
+         bound_check=False)
+def test_classify_and_a_classify_only_sweep_match_the_restated_rules(cell, coordinate, init,
+                                                                    bound_check):
+    # repr tells True from 1, -0.0 from 0.0 and a NaN from None, and shows every bit
+    try:
+        params = DirectingParams(*cell, bound_check=bound_check)
+    except InvalidInputError:
+        pass
+    else:
+        assert outcome(classify, params, coordinate) == outcome(restated_report, params,
+                                                                coordinate)
+    (row,) = sweep([cell], coordinate, init, bound_check=bound_check)
+    assert repr(row) == repr(restated_row(cell, coordinate, init, bound_check))
 
 
 # --------------------------------------------------------- estimate_limit

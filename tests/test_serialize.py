@@ -2,6 +2,8 @@ import csv
 import io
 import itertools
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -166,6 +168,81 @@ def test_json_text_matches_stdlib_encoder_on_any_table(table):
     for row in rows:
         assert (emitted(serialize.json_text, header, [row], single=True)
                 == reference_json_text(header, [row], single=True))
+
+
+class TaggedFloat(float):
+    """A float subclass: written as the float it holds."""
+
+
+# Values every column of a long table repeats: equal zeros of either sign,
+# NaNs and infinities must each keep their own text however often they repeat.
+REPEATED = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.1, -2.5,
+            np.float64(0.0), np.float64(-0.0), np.float64(0.1),
+            TaggedFloat(0.0), TaggedFloat(-0.0), TaggedFloat(0.1), TaggedFloat("nan")]
+more_values = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats().map(TaggedFloat),
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from(["", "a", "x,y"]),
+    st.sampled_from([(), ("a",), ("a", "b")]),
+)
+
+
+@st.composite
+def long_tables(draw):
+    """Columns of values drawn from small pools, and one of fresh floats, so that a table
+    of thousands of rows repeats each pooled value and holds more distinct floats than
+    serialize keeps texts for; and a row to cut the table at."""
+    pools = [REPEATED + draw(st.lists(more_values, max_size=3))
+             for _ in range(draw(st.integers(1, 4)))]
+    count = draw(st.one_of(st.integers(0, 40), st.integers(4000, 5000)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    header = [f"c{i}" for i in range(len(pools))] + ["fresh"]
+    rows = [(*(rng.choice(pool) for pool in pools), rng.uniform(-1.0, 1.0))
+            for _ in range(count)]
+    return header, rows, draw(st.integers(0, count))
+
+
+def reference_csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ";".join(value)
+    return str(value) if isinstance(value, int) else repr(float(value))
+
+
+def reference_csv_body(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(map(reference_csv_cell, row) for row in rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(table=long_tables())
+def test_writers_give_every_repeat_of_a_value_its_own_text_in_long_tables(table):
+    header, rows, cut = table
+    expected = reference_json_text(header, rows)
+    assert emitted(serialize.json_text, header, rows) == expected
+    parts = [serialize.json_body(header, part) for part in (rows[:cut], rows[cut:]) if part]
+    assert emitted(serialize.json_text, header, parts, formatted=True) == expected
+    expected = reference_csv_body(rows)
+    assert serialize.csv_body(rows) == expected
+    assert emitted(serialize.csv_text, header, rows) == ",".join(header) + "\n" + expected
+    parts = [serialize.csv_body(rows[:cut]), serialize.csv_body(rows[cut:])]
+    assert emitted(serialize.csv_text, header, parts, formatted=True) == (
+        ",".join(header) + "\n" + expected)
+
+
+def test_the_float_text_map_stays_bounded():
+    texts = {}
+    for k in range(3 * serialize._FLOAT_TEXTS_MAX):
+        assert serialize._float_text(texts, k + 0.5) == repr(k + 0.5)
+        assert len(texts) <= serialize._FLOAT_TEXTS_MAX
 
 
 @pytest.mark.parametrize("value", [np.int64(3), {1}, object()])
