@@ -306,14 +306,16 @@ def _cmd_classify(args):
 # A sweep of fewer cells runs in the calling process; a larger one, in
 # chunks of _SWEEP_CHUNK_CELLS cells on forked workers that return their
 # rows as text.  On a 2-vCPU host (fresh interpreters, 11 alternating pairs
-# of cli.main calls per grid, classify-only: the cheapest cells), the
-# workers lost at 5,832 cells (0.119 s in-process, 0.146 s pooled, JSON;
-# 1 pair of 11 won), broke even from 6,859 to 9,261 (4 to 8 pairs won, JSON
-# and CSV), and won at 10,648 (0.207 s and 0.178 s JSON, 7 pairs won;
-# 0.241 s and 0.190 s CSV, 10 won).  The threshold sits low in that band:
-# a --simulate cell costs far more, and the 21^3 --simulate grid (9,261
-# cells) took 0.64 s in-process and 0.43 s pooled.
+# of cli.main calls per grid, JSON and CSV), classify-only sweeps lost in
+# the workers at 5,832 cells (0.119 s in-process, 0.146 s pooled, JSON;
+# 1 pair of 11 won), broke even from 6,859 to 9,261 (4 to 8 pairs won), and
+# won at 10,648 (0.207 s and 0.178 s JSON, 7 pairs won; 0.241 s and 0.190 s
+# CSV, 10 won).  A --simulate cell costs more: the workers won 7-8 pairs of
+# 11 at 2,744 cells, 8-11 at 4,096 to 5,832 (0.382 s and 0.284 s CSV at
+# 5,832) and 6-9 at 6,859, so those sweeps keep the earlier threshold of
+# 5,000 cells.
 _SWEEP_POOL_MIN_CELLS = 8_000
+_SIMULATE_POOL_MIN_CELLS = 5_000
 _SWEEP_CHUNK_CELLS = 2_000
 
 
@@ -344,7 +346,8 @@ def _cmd_sweep(args):
     _check_sweep_settings(args.m, settings["init"], args.tol, args.max_steps, args.agreement_tol)
     as_json = args.format == "json"
     emit = serialize.sweep_to_json if as_json else serialize.sweep_to_csv
-    workers = _pool.workers_for(-(-count // _SWEEP_CHUNK_CELLS), count, _SWEEP_POOL_MIN_CELLS)
+    min_cells = _SIMULATE_POOL_MIN_CELLS if args.simulate else _SWEEP_POOL_MIN_CELLS
+    workers = _pool.workers_for(-(-count // _SWEEP_CHUNK_CELLS), count, min_cells)
     if not workers:
         rows = sweep(cells, **settings)
         return lambda out: emit(out, rows)

@@ -344,10 +344,8 @@ def contraction_factor(params):
     A value below 1 means the unclamped iteration converges to the
     equilibrium from every start.
     """
-    # reduced_matrix(params) plus the identity, written out with the same expressions
-    v0, v1, v2 = params
-    a, b = -(2.0 * v0 + v2) + 1.0, v1 - v2
-    c, d = v0 - v2, -(2.0 * v1 + v2) + 1.0
+    (a, b), (c, d) = reduced_matrix(params)
+    a, d = a + 1.0, d + 1.0
     tr = a + d
     det = a * d - b * c
     disc = tr * tr - 4.0 * det

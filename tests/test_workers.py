@@ -1,9 +1,10 @@
 """Worker processes: the pooled sweep, settings checks before the first byte, lost workers.
 
-A sweep of at least ``cli._SWEEP_POOL_MIN_CELLS`` cells in a process that
-may use several CPUs runs its chunks of cells in forked workers, which
-return their rows as text.  The tests choose the path whatever the host:
-``_force_pool`` lowers the threshold to 0, cuts the chunks to 8 cells and
+A sweep of at least ``cli._SWEEP_POOL_MIN_CELLS`` cells (``--simulate``:
+``cli._SIMULATE_POOL_MIN_CELLS``) in a process that may use several CPUs
+runs its chunks of cells in forked workers, which return their rows as
+text.  The tests choose the path whatever the host: ``_force_pool``
+lowers both thresholds to 0, cuts the chunks to 8 cells and
 reports 3 CPUs; 1 reported CPU keeps every cell in this process.  Each
 records the ``multiprocessing`` contexts asked for, so a test can tell
 whether workers started.
@@ -51,6 +52,7 @@ def _recording_contexts(monkeypatch):
 
 def _force_pool(monkeypatch):
     monkeypatch.setattr(ternary_dynamics.cli, "_SWEEP_POOL_MIN_CELLS", 0)
+    monkeypatch.setattr(ternary_dynamics.cli, "_SIMULATE_POOL_MIN_CELLS", 0)
     monkeypatch.setattr(ternary_dynamics.cli, "_SWEEP_CHUNK_CELLS", 8)
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
     return _recording_contexts(monkeypatch)
@@ -163,32 +165,48 @@ def test_no_worker_outlives_a_pooled_sweep_into_a_closed_pipe(pooled, monkeypatc
 
 
 # Runs in a fresh interpreter: prints, as JSON, whether multiprocessing is
-# loaded after a sweep of ``_SWEEP_POOL_MIN_CELLS + offset`` cells on 3
-# reported CPUs.
+# loaded after a sweep of ``threshold + offset`` cells on 3 reported CPUs,
+# where a --simulate sweep (a third argument) has its own threshold.
 THRESHOLD_RUN = """
 import json, sys
 import ternary_dynamics._pool as pool, ternary_dynamics.cli as cli
 pool._usable_cpus = lambda: 3
-cells = cli._SWEEP_POOL_MIN_CELLS + int(sys.argv[1])
+simulate = sys.argv[3:]
+threshold = cli._SIMULATE_POOL_MIN_CELLS if simulate else cli._SWEEP_POOL_MIN_CELLS
+cells = threshold + int(sys.argv[1])
 assert cells <= 10_001
 argv = ["sweep", "--v0", "0.1", "--v1", "0.2", "--v2", f"0:{(cells - 1) / 10_000!r}:0.0001",
-        "--init", "0.5,0.3,0.2", "--output", sys.argv[2]]
+        "--init", "0.5,0.3,0.2", "--output", sys.argv[2], *simulate]
 assert cli.main(argv) == 0
 print(json.dumps("multiprocessing" in sys.modules))
 """
 
 
-@pytest.mark.parametrize("offset, loaded", [(-1, False), (0, True)])
-def test_a_grid_under_the_threshold_starts_no_worker_and_loads_no_multiprocessing(
-        tmp_path, offset, loaded):
+def _threshold_run(tmp_path, offset, *simulate):
+    """Whether THRESHOLD_RUN loaded multiprocessing, and the lines of its CSV."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     out = tmp_path / "sweep.csv"
-    proc = subprocess.run([sys.executable, "-c", THRESHOLD_RUN, str(offset), str(out)],
+    proc = subprocess.run([sys.executable, "-c", THRESHOLD_RUN, str(offset), str(out), *simulate],
                           capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert json.loads(proc.stdout) is loaded
-    lines = out.read_text(encoding="utf-8").splitlines()
+    return json.loads(proc.stdout), out.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("offset, loaded", [(-1, False), (0, True)])
+def test_a_grid_under_the_threshold_starts_no_worker_and_loads_no_multiprocessing(
+        tmp_path, offset, loaded):
+    was_loaded, lines = _threshold_run(tmp_path, offset)
+    assert was_loaded is loaded
     assert len(lines) == 1 + ternary_dynamics.cli._SWEEP_POOL_MIN_CELLS + offset
+
+
+@pytest.mark.parametrize("offset, loaded", [(-1, False), (0, True)])
+def test_a_simulate_grid_uses_its_own_lower_threshold(tmp_path, offset, loaded):
+    cli = ternary_dynamics.cli
+    assert cli._SIMULATE_POOL_MIN_CELLS < cli._SWEEP_POOL_MIN_CELLS
+    was_loaded, lines = _threshold_run(tmp_path, offset, "--simulate")
+    assert was_loaded is loaded
+    assert len(lines) == 1 + cli._SIMULATE_POOL_MIN_CELLS + offset
 
 
 # ------------------------------------------------------------ lost workers
@@ -201,7 +219,7 @@ KILLED_RUN = """
 import json, multiprocessing, os, signal, sys
 import ternary_dynamics._pool as pool, ternary_dynamics.cli as cli, ternary_dynamics.sampling as sampling
 pool._usable_cpus = lambda: 3
-cli._SWEEP_POOL_MIN_CELLS = 0
+cli._SWEEP_POOL_MIN_CELLS = cli._SIMULATE_POOL_MIN_CELLS = 0
 cli._SWEEP_CHUNK_CELLS = 8
 sampling._POOL_MIN_STAGES = 0
 parent = os.getpid()
