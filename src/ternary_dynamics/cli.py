@@ -4,10 +4,12 @@ Subcommands: ``equilibrium``, ``simulate``, ``classify``, ``sweep``,
 ``stochastic``.  Data goes to stdout (or ``--output PATH``, written
 atomically via a temp file) in CSV or JSON; diagnostics go to stderr so
 pipelines stay clean.  Each command checks all of its input, then returns
-the emitter that writes its rows, so a run with bad input writes no data.
-Every command but ``sweep`` also computes all of its rows first; a large
-``sweep`` computes its rows in forked workers while the emitter writes them,
-in order.  Exit codes: 0 success, 1 a worker process died, 2 invalid input,
+a one-argument writer that passes its header and rows to
+``serialize.write_table`` (a sweep, to ``serialize.sweep_to_csv`` or
+``sweep_to_json``), so a run with bad input writes no data.  Every command
+but ``sweep`` also computes all of its rows first; a large ``sweep``
+computes its rows in forked workers while the writer writes them, in
+order.  Exit codes: 0 success, 1 a worker process died, 2 invalid input,
 3 no equilibrium, 4 degenerate clamp, 5 boundary classification.
 
 A ``--config FILE`` of ``key=value`` lines (keys are the long flag names
@@ -259,10 +261,9 @@ def _params_from(args):
 
 def _cmd_equilibrium(args):
     params = _params_from(args)
-    eq = compute_equilibrium(params)
-    flags = _range_flags(params)
-    emit = serialize.equilibrium_to_json if args.format == "json" else serialize.equilibrium_to_csv
-    return lambda out: emit(out, eq, flags)
+    rows = serialize.equilibrium_rows(compute_equilibrium(params), _range_flags(params))
+    return lambda out: serialize.write_table(
+        out, args.format, serialize.EQUILIBRIUM_HEADER, rows, single=True)
 
 
 def _cmd_simulate(args):
@@ -277,8 +278,8 @@ def _cmd_simulate(args):
                     file=sys.stderr,
                 )
                 break
-    emit = serialize.trajectory_to_json if args.format == "json" else serialize.trajectory_to_csv
-    return lambda out: emit(out, states)
+    rows = serialize.trajectory_rows(states)
+    return lambda out: serialize.write_table(out, args.format, serialize.TRAJECTORY_HEADER, rows)
 
 
 def _cmd_classify(args):
@@ -297,10 +298,9 @@ def _cmd_classify(args):
         predicted = "conditional"
     else:
         predicted = report.resolve_limit(initial_value)
-    flags = _range_flags(params)
-    emit = (serialize.classification_to_json if args.format == "json"
-            else serialize.classification_to_csv)
-    return lambda out: emit(out, report, predicted, flags)
+    rows = serialize.classification_rows(report, predicted, _range_flags(params))
+    return lambda out: serialize.write_table(
+        out, args.format, serialize.CLASSIFICATION_HEADER, rows, single=True)
 
 
 # A sweep of fewer cells runs in the calling process; a larger one, in
@@ -368,14 +368,13 @@ def _cmd_stochastic(args):
     cfg = SampleConfig(
         sample_volume=args.n[0], replications=args.reps, seed=args.seed, steps=args.steps
     )
-    as_json = args.format == "json"
     if len(args.n) == 1:
-        rows = run_replications(params, args.init, cfg)
-        emit = serialize.replications_to_json if as_json else serialize.replications_to_csv
+        header = serialize.REPLICATION_HEADER
+        rows = serialize.replication_rows(run_replications(params, args.init, cfg))
     else:
+        header = serialize.DEVIATION_HEADER
         rows = lln_diagnostic(params, args.init, args.n, cfg)
-        emit = serialize.deviation_table_to_json if as_json else serialize.deviation_table_to_csv
-    return lambda out: emit(out, rows)
+    return lambda out: serialize.write_table(out, args.format, header, rows)
 
 
 _COMMANDS = {

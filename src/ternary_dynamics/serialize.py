@@ -5,9 +5,12 @@ same double, so emitted files round-trip losslessly and identical runs
 produce byte-identical output.  CSV uses comma separators, ``\\n`` line
 endings and minimal quoting; JSON mirrors each table as a list of objects
 keyed by the column names.  Every table is a header plus rows (the records
-themselves, or those of a private row builder), written by :func:`csv_text`
-or :func:`json_text` to an open text stream, one row at a time as it is
-formatted; no emitter builds or returns the document.  :func:`csv_body`
+themselves, or those of the row builder beside its header), written by
+:func:`write_table` through :func:`csv_text` or :func:`json_text` to an open
+text stream, one row at a time as it is formatted; no writer builds or
+returns the document.  The sweep table keeps its own pair,
+:func:`sweep_to_csv` and :func:`sweep_to_json`, because the benchmark's
+traced runs time the sweep's writes by those names.  :func:`csv_body`
 and :func:`json_body` format a run of rows without the header or the
 list's brackets, and a ``formatted`` writer frames such runs, so a table
 formatted in parts, in other processes too, has the bytes of one pass.  A
@@ -167,37 +170,32 @@ def json_body(header, rows):
     return ",\n  ".join(_json_objects(header, rows, "  "))
 
 
+def write_table(out, fmt, header, rows, single=False):
+    """Write ``header`` and ``rows`` as JSON when ``fmt`` is ``"json"``, else as CSV.
+
+    A ``single`` JSON table is its one object; its CSV is the header and the row.
+    """
+    if fmt == "json":
+        json_text(out, header, rows, single=single)
+    else:
+        csv_text(out, header, rows)
+
+
 TRAJECTORY_HEADER = ["k", "p0", "p1", "p2"]
 
 
-def _trajectory_rows(states):
+def trajectory_rows(states):
     for k, s in enumerate(states):
         yield k, *s
-
-
-def trajectory_to_csv(out, states):
-    csv_text(out, TRAJECTORY_HEADER, _trajectory_rows(states))
-
-
-def trajectory_to_json(out, states):
-    json_text(out, TRAJECTORY_HEADER, _trajectory_rows(states))
 
 
 EQUILIBRIUM_HEADER = ["rho0", "rho1", "rho2", "v", "v_bar", "flags"]
 
 
-def _equilibrium_rows(eq, flags):
+def equilibrium_rows(eq, flags=()):
     v0, v1, v2 = eq.params
     v_bar = eq.v_bar if v0 != 0.0 and v1 != 0.0 and v2 != 0.0 else None
     yield eq.rho0, eq.rho1, eq.rho2, eq.v_denominator, v_bar, tuple(flags)
-
-
-def equilibrium_to_csv(out, eq, flags=()):
-    csv_text(out, EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags))
-
-
-def equilibrium_to_json(out, eq, flags=()):
-    json_text(out, EQUILIBRIUM_HEADER, _equilibrium_rows(eq, flags), single=True)
 
 
 CLASSIFICATION_HEADER = [
@@ -205,18 +203,9 @@ CLASSIFICATION_HEADER = [
 ]
 
 
-def _classification_rows(report, predicted, flags):
+def classification_rows(report, predicted, flags=()):
     yield (report.coordinate, report.scenario.value, report.rho_m, report.v_m, predicted,
            report.contraction_factor, tuple(flags))
-
-
-def classification_to_csv(out, report, predicted, flags=()):
-    csv_text(out, CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags))
-
-
-def classification_to_json(out, report, predicted, flags=()):
-    json_text(out, CLASSIFICATION_HEADER, _classification_rows(report, predicted, flags),
-              single=True)
 
 
 # A ``SweepRow`` is its own row, so its fields are the header.
@@ -234,28 +223,12 @@ def sweep_to_json(out, rows, formatted=False):
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]
 
 
-def _replication_rows(trajectories):
+def replication_rows(trajectories):
     for traj in trajectories:
         for k, point in enumerate(traj.points):
             yield traj.replication, k, point[0], point[1], point[2]
 
 
-def replications_to_csv(out, trajectories):
-    csv_text(out, REPLICATION_HEADER, _replication_rows(trajectories))
-
-
-def replications_to_json(out, trajectories):
-    json_text(out, REPLICATION_HEADER, _replication_rows(trajectories))
-
-
-DEVIATION_HEADER = ["n", "median_max_deviation", "replications"]
-
-
 # A ``sampling.DeviationRow`` is already the row: its fields are this header, in order
 # (``sample_volume`` is ``n``).
-def deviation_table_to_csv(out, rows):
-    csv_text(out, DEVIATION_HEADER, rows)
-
-
-def deviation_table_to_json(out, rows):
-    json_text(out, DEVIATION_HEADER, rows)
+DEVIATION_HEADER = ["n", "median_max_deviation", "replications"]

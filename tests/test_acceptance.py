@@ -30,7 +30,7 @@ from ternary_dynamics import (
     trajectory,
 )
 from ternary_dynamics.cli import main
-from ternary_dynamics.serialize import deviation_table_to_csv
+from ternary_dynamics.serialize import DEVIATION_HEADER, write_table
 
 
 def emitted(emit, *args, **kwargs):
@@ -215,7 +215,8 @@ def test_09_lln_diagnostic():
         rows = lln_diagnostic(params, init, [100, 10000], cfg)
         assert rows[1].median_max_deviation < rows[0].median_max_deviation
         rerun = lln_diagnostic(params, init, [100, 10000], cfg)
-        assert emitted(deviation_table_to_csv, rows) == emitted(deviation_table_to_csv, rerun)
+        assert (emitted(write_table, "csv", DEVIATION_HEADER, rows)
+                == emitted(write_table, "csv", DEVIATION_HEADER, rerun))
 
 
 def test_10_cli_contract(capsys):

@@ -29,7 +29,12 @@ from ternary_dynamics import (
 )
 from ternary_dynamics.cli import main
 from ternary_dynamics.core import _clamped_step, build_regression_matrix
-from ternary_dynamics.serialize import deviation_table_to_csv, replications_to_csv
+from ternary_dynamics.serialize import (
+    DEVIATION_HEADER,
+    REPLICATION_HEADER,
+    replication_rows,
+    write_table,
+)
 
 
 def emitted(emit, *args, **kwargs):
@@ -158,7 +163,8 @@ def test_run_replications_deterministic_and_distinct():
     first = run_replications(PARAMS, INIT, cfg)
     second = run_replications(PARAMS, INIT, cfg)
     assert first == second
-    assert emitted(replications_to_csv, first) == emitted(replications_to_csv, second)
+    assert (emitted(write_table, "csv", REPLICATION_HEADER, replication_rows(first))
+            == emitted(write_table, "csv", REPLICATION_HEADER, replication_rows(second)))
     assert first[0].counts != first[1].counts
 
 
@@ -381,7 +387,7 @@ def test_lln_diagnostic_rejects_a_bad_volume_before_any_work(monkeypatch):
 def test_deviation_table_serialization_round():
     cfg = SampleConfig(sample_volume=100, replications=3, seed=1, steps=5)
     rows = lln_diagnostic(PARAMS, INIT, [10, 100], cfg)
-    text = emitted(deviation_table_to_csv, rows)
+    text = emitted(write_table, "csv", DEVIATION_HEADER, rows)
     lines = text.splitlines()
     assert lines[0] == "n,median_max_deviation,replications"
     assert len(lines) == 3

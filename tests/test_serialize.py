@@ -44,39 +44,47 @@ def test_format_float_round_trips():
 
 def test_trajectory_csv_round_trip_and_values():
     states = trajectory(DirectingParams(0.1, 0.1, 0.1), SimplexPoint(0.5, 0.3, 0.2), 3)
-    text = emitted(serialize.trajectory_to_csv, states)
+    text = emitted(serialize.write_table, "csv", serialize.TRAJECTORY_HEADER,
+                   serialize.trajectory_rows(states))
     lines = text.splitlines()
     assert lines[0] == "k,p0,p1,p2"
     assert lines[1] == "0,0.5,0.3,0.2"
     assert lines[2] == "1,0.45,0.31,0.24"
     assert reparse_identical(text)
-    payload = json.loads(emitted(serialize.trajectory_to_json, states))
+    payload = json.loads(emitted(serialize.write_table, "json", serialize.TRAJECTORY_HEADER,
+                                 serialize.trajectory_rows(states)))
     assert payload[1] == {"k": 1, "p0": 0.45, "p1": 0.31, "p2": 0.24}
 
 
 def test_equilibrium_serialization():
     eq = compute_equilibrium(DirectingParams(0.5, 1.0, 1.0))
-    text = emitted(serialize.equilibrium_to_csv, eq)
+    text = emitted(serialize.write_table, "csv", serialize.EQUILIBRIUM_HEADER,
+                   serialize.equilibrium_rows(eq))
     assert text.splitlines()[0] == "rho0,rho1,rho2,v,v_bar,flags"
     assert text.splitlines()[1] == "0.5,0.25,0.25,2.0,4.0,"
     assert reparse_identical(text)
-    payload = json.loads(emitted(serialize.equilibrium_to_json, eq, ("params_out_of_range",)))
+    payload = json.loads(emitted(serialize.write_table, "json", serialize.EQUILIBRIUM_HEADER,
+                                 serialize.equilibrium_rows(eq, ("params_out_of_range",)),
+                                 single=True))
     assert payload["v_bar"] == 4.0
     assert payload["flags"] == ["params_out_of_range"]
 
     undefined = compute_equilibrium(DirectingParams(0.1, 0.0, 0.1))
-    assert json.loads(emitted(serialize.equilibrium_to_json, undefined))["v_bar"] is None
+    assert json.loads(emitted(serialize.write_table, "json", serialize.EQUILIBRIUM_HEADER,
+                              serialize.equilibrium_rows(undefined), single=True))["v_bar"] is None
 
 
 def test_classification_serialization():
     report = classify(DirectingParams(-0.2, 0.5, -0.4), 0)
-    text = emitted(serialize.classification_to_csv, report, "conditional")
+    text = emitted(serialize.write_table, "csv", serialize.CLASSIFICATION_HEADER,
+                   serialize.classification_rows(report, "conditional"))
     header, row = text.splitlines()
     assert header == "coordinate,scenario,rho_m,v_m,predicted_limit,contraction_factor,flags"
     assert row.split(",")[1] == "repulsive"
     assert row.split(",")[4] == "conditional"
     assert reparse_identical(text)
-    payload = json.loads(emitted(serialize.classification_to_json, report, 0.0))
+    payload = json.loads(emitted(serialize.write_table, "json", serialize.CLASSIFICATION_HEADER,
+                                 serialize.classification_rows(report, 0.0), single=True))
     assert payload["predicted_limit"] == 0.0
 
 
@@ -106,16 +114,17 @@ def test_replications_and_deviation_serialization():
     init = SimplexPoint(0.5, 0.3, 0.2)
     cfg = SampleConfig(sample_volume=100, replications=2, seed=42, steps=4)
     trajs = run_replications(params, init, cfg)
-    text = emitted(serialize.replications_to_csv, trajs)
+    text = emitted(serialize.write_table, "csv", serialize.REPLICATION_HEADER,
+                   serialize.replication_rows(trajs))
     lines = text.splitlines()
     assert lines[0] == "replication,k,p0,p1,p2"
     assert len(lines) == 1 + 2 * 5
     assert reparse_identical(text)
 
     table = lln_diagnostic(params, init, [10, 100], cfg)
-    dev_text = emitted(serialize.deviation_table_to_csv, table)
+    dev_text = emitted(serialize.write_table, "csv", serialize.DEVIATION_HEADER, table)
     assert reparse_identical(dev_text)
-    payload = json.loads(emitted(serialize.deviation_table_to_json, table))
+    payload = json.loads(emitted(serialize.write_table, "json", serialize.DEVIATION_HEADER, table))
     assert [row["n"] for row in payload] == [10, 100]
 
 
@@ -267,18 +276,56 @@ class RecordingStream:
         return len(text)
 
 
-@pytest.mark.parametrize("emit", [serialize.sweep_to_csv, serialize.sweep_to_json],
-                         ids=["csv", "json"])
-def test_sweep_emitters_write_each_row_as_it_is_formatted(emit):
+def sweep_table():
     axis = [round(-0.9 + 0.18 * i, 12) for i in range(11)]
     rows = sweep(list(itertools.product(axis, axis, axis)), 0, SimplexPoint(0.5, 0.3, 0.2))
     assert len(rows) == 1331
+    return rows
+
+
+def replication_table():
+    cfg = SampleConfig(sample_volume=100, replications=3, seed=7, steps=200)
+    rows = list(serialize.replication_rows(
+        run_replications(DirectingParams(-0.2, 0.5, -0.4), SimplexPoint(0.5, 0.3, 0.2), cfg)))
+    assert len(rows) == 603
+    return rows
+
+
+def replications_csv(out, rows):
+    serialize.write_table(out, "csv", serialize.REPLICATION_HEADER, rows)
+
+
+def replications_json(out, rows):
+    serialize.write_table(out, "json", serialize.REPLICATION_HEADER, rows)
+
+
+@pytest.mark.parametrize("emit, table", [
+    (serialize.sweep_to_csv, sweep_table),
+    (serialize.sweep_to_json, sweep_table),
+    (replications_csv, replication_table),
+    (replications_json, replication_table),
+], ids=["csv", "json", "write_table-csv", "write_table-json"])
+def test_sweep_emitters_write_each_row_as_it_is_formatted(emit, table):
+    rows = table()
     stream = RecordingStream()
     emit(stream, rows)
     assert len(stream.writes) >= len(rows)
     # a one-row table is one row's text plus the header or the list framing
     assert max(map(len, stream.writes)) <= max(len(emitted(emit, [row])) for row in rows)
     assert "".join(stream.writes) == emitted(emit, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_sweep_pair_writes_the_bytes_of_write_table(fmt):
+    init = SimplexPoint(0.5, 0.3, 0.2)
+    axis = [-1.5, -0.9, -0.3, 0.0, 0.3, 0.9, 1.5]
+    # rows in and out of range, of each scenario, with flags and simulated limits
+    rows = [*sweep_table(),
+            *sweep(itertools.product(axis, axis, axis), 1, init, simulate=True, bound_check=False)]
+    emit = serialize.sweep_to_json if fmt == "json" else serialize.sweep_to_csv
+    for part in ([], rows[:1], rows):
+        assert emitted(emit, part) == emitted(
+            serialize.write_table, fmt, serialize.SWEEP_HEADER, part)
 
 
 @pytest.mark.parametrize("rows", [[], [(1,), (2,)]], ids=["no-row", "two-rows"])
