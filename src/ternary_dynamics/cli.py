@@ -5,11 +5,11 @@ Subcommands: ``equilibrium``, ``simulate``, ``classify``, ``sweep``,
 atomically via a temp file) in CSV or JSON; diagnostics go to stderr so
 pipelines stay clean.  Each command checks all of its input, then returns
 a one-argument writer that passes its header and rows to
-``serialize.write_table`` (a sweep, to ``serialize.sweep_to_csv`` or
-``sweep_to_json``), so a run with bad input writes no data.  Every command
-but ``sweep`` also computes all of its rows first; a large ``sweep``
-computes its rows in forked workers while the writer writes them, in
-order.  Exit codes: 0 success, 1 a worker process died, 2 invalid input,
+``serialize.write_table``, so a run with bad input writes no data.  Every
+command but ``sweep`` also computes all of its rows first; a ``sweep``
+formats chunks of rows, here or in forked workers, while its writer
+(``serialize.sweep_to_csv`` or ``sweep_to_json``) writes them in order.
+Exit codes: 0 success, 1 a worker process died, 2 invalid input,
 3 no equilibrium, 4 degenerate clamp, 5 boundary classification.
 
 A ``--config FILE`` of ``key=value`` lines (keys are the long flag names
@@ -230,10 +230,11 @@ def _config_flags(path):
 def _prepare_argv(argv):
     """One pass over argv: take out ``--config FILE`` and join negative values.
 
-    ``--flag -0.2,...`` becomes ``--flag=-0.2,...``; argparse would otherwise
-    read a value with a leading minus as an option string.  The config
-    file's flags, each a single ``--key=value`` token, go in after the
-    subcommand, so flags given on the command line win on conflict.
+    ``--flag -0.2,...`` becomes ``--flag=-0.2,...`` when its text before any
+    ``,`` or ``:`` reads as a float (``-inf`` too, but not ``-h`` or ``-``);
+    argparse would otherwise read it as an option string.  The config file's
+    flags, each a single ``--key=value`` token, go in after the subcommand,
+    so flags given on the command line win on conflict.
     """
     out = []
     path = None
@@ -245,9 +246,13 @@ def _prepare_argv(argv):
                 raise InvalidInputError("--config requires a file path")
         elif arg.startswith("--config="):
             path = arg.split("=", 1)[1]
-        elif (out and out[-1].startswith("--") and "=" not in out[-1]
-              and len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."):
-            out[-1] += "=" + arg
+        elif out and out[-1].startswith("--") and "=" not in out[-1] and arg[:1] == "-":
+            try:
+                float(arg.split(",", 1)[0].split(":", 1)[0])
+            except ValueError:  # an option, such as -h
+                out.append(arg)
+            else:
+                out[-1] += "=" + arg
         else:
             out.append(arg)
     if path is None or not out:
@@ -303,9 +308,9 @@ def _cmd_classify(args):
         out, args.format, serialize.CLASSIFICATION_HEADER, rows, single=True)
 
 
-# A sweep of fewer cells runs in the calling process; a larger one, in
-# chunks of _SWEEP_CHUNK_CELLS cells on forked workers that return their
-# rows as text.  On a 2-vCPU host (fresh interpreters, 11 alternating pairs
+# A sweep runs in chunks of _SWEEP_CHUNK_CELLS cells, each returned as
+# text: in the calling process below these sizes, on forked workers from
+# them on.  On a 2-vCPU host (fresh interpreters, 11 alternating pairs
 # of cli.main calls per grid, JSON and CSV), classify-only sweeps lost in
 # the workers at 5,832 cells (0.119 s in-process, 0.146 s pooled, JSON;
 # 1 pair of 11 won), broke even from 6,859 to 9,261 (4 to 8 pairs won), and
@@ -331,7 +336,7 @@ def _cmd_sweep(args):
     if args.cells is not None and any(a is not None for a in axes):
         raise InvalidInputError("pass either --cells or the --v0/--v1/--v2 axes, not both")
     if args.cells is not None:
-        cells, count = args.cells, len(args.cells)
+        cells, count = iter(args.cells), len(args.cells)
     else:
         if any(a is None for a in axes):
             raise InvalidInputError("axis sweep needs all of --v0, --v1 and --v2")
@@ -348,17 +353,13 @@ def _cmd_sweep(args):
     emit = serialize.sweep_to_json if as_json else serialize.sweep_to_csv
     min_cells = _SIMULATE_POOL_MIN_CELLS if args.simulate else _SWEEP_POOL_MIN_CELLS
     workers = _pool.workers_for(-(-count // _SWEEP_CHUNK_CELLS), count, min_cells)
-    if not workers:
-        rows = sweep(cells, **settings)
-        return lambda out: emit(out, rows)
-    cells = iter(cells)
     chunks = iter(lambda: list(itertools.islice(cells, _SWEEP_CHUNK_CELLS)), [])
     tasks = ((chunk, settings, as_json) for chunk in chunks)
 
     def write(out):
-        # this process formats the first chunk itself while the workers start
+        # with workers, this process formats the first chunk itself while they start
         with _pool.ordered_map(_sweep_text, tasks, workers, here=1) as texts:
-            emit(out, texts, formatted=True)
+            emit(out, texts)
 
     return write
 
@@ -431,6 +432,15 @@ def main(argv=None):
         return _fail("--config must be spelled in full, not abbreviated", EXIT_INVALID_INPUT)
     try:
         emit = _COMMANDS[args.command](args)
+        # a sweep computes its rows while it writes them, so its errors can arise here
+        if args.output in (None, "-"):
+            emit(sys.stdout)
+            return EXIT_OK
+        try:
+            _write_file(emit, args.output)
+        except OSError as exc:
+            return _fail(f"cannot write output {args.output!r}: {exc.strerror or exc}",
+                         EXIT_INVALID_INPUT)
     except NoEquilibriumError as exc:
         return _fail(exc, EXIT_NO_EQUILIBRIUM)
     except DegenerateClampError as exc:
@@ -440,17 +450,6 @@ def main(argv=None):
     except ValueError as exc:  # InvalidInputError included
         return _fail(exc, EXIT_INVALID_INPUT)
     except _pool.WorkerLostError as exc:
-        return _fail(exc, EXIT_WORKER_LOST)
-    try:
-        if args.output in (None, "-"):
-            emit(sys.stdout)
-            return EXIT_OK
-        try:
-            _write_file(emit, args.output)
-        except OSError as exc:
-            return _fail(f"cannot write output {args.output!r}: {exc.strerror or exc}",
-                         EXIT_INVALID_INPUT)
-    except _pool.WorkerLostError as exc:  # a pooled sweep computes while it writes
         return _fail(exc, EXIT_WORKER_LOST)
     return EXIT_OK
 

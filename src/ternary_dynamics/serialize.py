@@ -8,12 +8,12 @@ keyed by the column names.  Every table is a header plus rows (the records
 themselves, or those of the row builder beside its header), written by
 :func:`write_table` through :func:`csv_text` or :func:`json_text` to an open
 text stream, one row at a time as it is formatted; no writer builds or
-returns the document.  The sweep table keeps its own pair,
-:func:`sweep_to_csv` and :func:`sweep_to_json`, because the benchmark's
-traced runs time the sweep's writes by those names.  :func:`csv_body`
-and :func:`json_body` format a run of rows without the header or the
-list's brackets, and a ``formatted`` writer frames such runs, so a table
-formatted in parts, in other processes too, has the bytes of one pass.  A
+returns the document.  :func:`csv_body` and :func:`json_body` format a
+run of rows without the header or the list's brackets, and a ``formatted``
+writer frames such runs, so a table formatted in parts, in other processes
+too, has the bytes of one pass.  The sweep's chunks go through its own
+pair, :func:`sweep_to_csv` and :func:`sweep_to_json`, as the benchmark's
+traced runs time the sweep's writes by those names.  A
 tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
 Within one call, a repeated float (a sweep's axis values) is formatted
 once, from a bounded map.
@@ -212,12 +212,12 @@ def classification_rows(report, predicted, flags=()):
 SWEEP_HEADER = list(SweepRow._fields)
 
 
-def sweep_to_csv(out, rows, formatted=False):
-    csv_text(out, SWEEP_HEADER, rows, formatted=formatted)
+def sweep_to_csv(out, texts):
+    csv_text(out, SWEEP_HEADER, texts, formatted=True)
 
 
-def sweep_to_json(out, rows, formatted=False):
-    json_text(out, SWEEP_HEADER, rows, formatted=formatted)
+def sweep_to_json(out, texts):
+    json_text(out, SWEEP_HEADER, texts, formatted=True)
 
 
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]

@@ -32,7 +32,7 @@ from ternary_dynamics import (
 )
 from ternary_dynamics import cli
 from ternary_dynamics.cli import _axis
-from ternary_dynamics.serialize import sweep_to_csv
+from ternary_dynamics.serialize import SWEEP_HEADER, write_table
 
 
 def emitted(emit, *args, **kwargs):
@@ -553,13 +553,13 @@ def test_sweep_deterministic_across_runs_and_sub_grids():
     ))
     init = SimplexPoint(0.5, 0.3, 0.2)
     base = sweep(cells, 0, init, simulate=True)
-    assert emitted(sweep_to_csv, base) == emitted(
-        sweep_to_csv, sweep(cells, 0, init, simulate=True))
+    assert emitted(write_table, "csv", SWEEP_HEADER, base) == emitted(
+        write_table, "csv", SWEEP_HEADER, sweep(cells, 0, init, simulate=True))
     # each row depends only on its own cell: any sub-grid gives the matching rows
     for sub in (cells[::2], cells[5:], cells[3:4], cells[::-1]):
         picked = [base[cells.index(cell)] for cell in sub]
-        assert (emitted(sweep_to_csv, sweep(sub, 0, init, simulate=True))
-                == emitted(sweep_to_csv, picked))
+        assert (emitted(write_table, "csv", SWEEP_HEADER, sweep(sub, 0, init, simulate=True))
+                == emitted(write_table, "csv", SWEEP_HEADER, picked))
 
 
 def test_sweep_reference_grid_counts_and_output():
@@ -571,7 +571,8 @@ def test_sweep_reference_grid_counts_and_output():
     assert sum(row.agreement is not None for row in rows) == 7537
     assert sum(row.agreement == "disagree" for row in rows) == 2325
     assert sum("not_converged" in row.flags for row in rows) == 470
-    assert hashlib.sha256(emitted(sweep_to_csv, rows).encode()).hexdigest() == (
+    text = emitted(write_table, "csv", SWEEP_HEADER, rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
         "20acd7d4201ea16bc8b3d84de406fbae274c8bf35a95d2abfe925d0d0bb2201b"
     )
 

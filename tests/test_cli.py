@@ -314,20 +314,29 @@ def test_sweep_axis_grid_order(capsys):
 
 
 def test_axis_sweep_streams_the_grid_into_sweep(capsys, monkeypatch):
-    seen = []
+    products, chunks, rows = [], [], []
+    product = itertools.product
+
+    def recording_product(*axes):
+        products.append(product(*axes))
+        return products[-1]
 
     def recording_sweep(cells, *args, **kwargs):
-        seen.append(cells)
-        seen.append(sweep(cells, *args, **kwargs))
-        return seen[-1]
+        chunks.append(cells)
+        rows.extend(sweep(cells, *args, **kwargs))
+        return rows[-len(cells):]
 
+    monkeypatch.setattr(itertools, "product", recording_product)
     monkeypatch.setattr(ternary_dynamics.cli, "sweep", recording_sweep)
+    monkeypatch.setattr(ternary_dynamics.cli, "_SWEEP_CHUNK_CELLS", 8)
     code, out, err = run(capsys, "sweep", "--v0", "-0.3:0.3:0.1", "--v1", "0.2",
                          "--v2", "-0.1:0.1:0.1", "--init", "0.5,0.3,0.2", "--simulate")
+    monkeypatch.undo()
     assert (code, err) == (0, "")
-    cells, rows = seen
+    (cells,) = products
     assert iter(cells) is cells  # a one-shot iterator ...
-    assert next(cells, None) is None  # ... that sweep read to its end
+    assert next(cells, None) is None  # ... that the chunks read to its end
+    assert [len(chunk) for chunk in chunks] == [8, 8, 5]  # one sweep call per chunk
     axes = (_axis("-0.3:0.3:0.1"), [0.2], _axis("-0.1:0.1:0.1"))
     assert rows == sweep(list(itertools.product(*axes)), 0, SimplexPoint(0.5, 0.3, 0.2),
                          simulate=True)
@@ -664,6 +673,14 @@ EQUIVALENT_SPELLINGS = [
     [
         ("sweep", "--v0", "-0.3:0.3:0.1", "--v1", "0.2", "--v2", "-0.1", "--init", "0.5,0.3,0.2"),
         ("sweep", "--v0=-0.3:0.3:0.1", "--v1", "0.2", "--v2=-0.1", "--init", "0.5,0.3,0.2"),
+    ],
+    # a value that reads as a float before its first ',' or ':' is joined, -inf too
+    [
+        ("sweep", "--cells", "-inf,0.1,0.1", "--init", "0.5,0.3,0.2"),
+        ("sweep", "--cells=-inf,0.1,0.1", "--init", "0.5,0.3,0.2"),
+        ("sweep", "--cells", "-Infinity,0.1,0.1", "--init", "0.5,0.3,0.2"),
+        ("sweep", "--v0", "-inf", "--v1", "0.1", "--v2", "0.1", "--init", "0.5,0.3,0.2"),
+        ("sweep", "--v0=-inf", "--v1", "0.1", "--v2", "0.1", "--init", "0.5,0.3,0.2"),
     ],
 ]
 

@@ -95,7 +95,7 @@ def test_sweep_serialization_round_trip():
         SimplexPoint(0.5, 0.3, 0.2),
         simulate=True,
     )
-    text = emitted(serialize.sweep_to_csv, rows)
+    text = emitted(serialize.write_table, "csv", serialize.SWEEP_HEADER, rows)
     lines = text.splitlines()
     assert lines[0] == (
         "v0,v1,v2,coordinate,rho_m,v_m,scenario,predicted_limit,"
@@ -103,7 +103,7 @@ def test_sweep_serialization_round_trip():
     )
     assert len(lines) == 4
     assert reparse_identical(text)
-    payload = json.loads(emitted(serialize.sweep_to_json, rows))
+    payload = json.loads(emitted(serialize.write_table, "json", serialize.SWEEP_HEADER, rows))
     assert payload[1]["scenario"] == "no_equilibrium"
     assert payload[1]["rho_m"] is None
     assert payload[2]["flags"] == ["rho_boundary"]
@@ -291,6 +291,14 @@ def replication_table():
     return rows
 
 
+def sweep_csv(out, rows):
+    serialize.write_table(out, "csv", serialize.SWEEP_HEADER, rows)
+
+
+def sweep_json(out, rows):
+    serialize.write_table(out, "json", serialize.SWEEP_HEADER, rows)
+
+
 def replications_csv(out, rows):
     serialize.write_table(out, "csv", serialize.REPLICATION_HEADER, rows)
 
@@ -300,8 +308,8 @@ def replications_json(out, rows):
 
 
 @pytest.mark.parametrize("emit, table", [
-    (serialize.sweep_to_csv, sweep_table),
-    (serialize.sweep_to_json, sweep_table),
+    (sweep_csv, sweep_table),
+    (sweep_json, sweep_table),
     (replications_csv, replication_table),
     (replications_json, replication_table),
 ], ids=["csv", "json", "write_table-csv", "write_table-json"])
@@ -323,9 +331,17 @@ def test_the_sweep_pair_writes_the_bytes_of_write_table(fmt):
     rows = [*sweep_table(),
             *sweep(itertools.product(axis, axis, axis), 1, init, simulate=True, bound_check=False)]
     emit = serialize.sweep_to_json if fmt == "json" else serialize.sweep_to_csv
+    header = serialize.SWEEP_HEADER
+
+    def body(chunk):
+        return serialize.json_body(header, chunk) if fmt == "json" else serialize.csv_body(chunk)
+
+    # the pair takes the text of each chunk of rows, as a sweep's chunks give it
     for part in ([], rows[:1], rows):
-        assert emitted(emit, part) == emitted(
-            serialize.write_table, fmt, serialize.SWEEP_HEADER, part)
+        expected = emitted(serialize.write_table, fmt, header, part)
+        for size in (1, 500, 2000):
+            texts = [body(part[i:i + size]) for i in range(0, len(part), size)]
+            assert emitted(emit, texts) == expected
 
 
 @pytest.mark.parametrize("rows", [[], [(1,), (2,)]], ids=["no-row", "two-rows"])

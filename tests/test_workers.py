@@ -23,6 +23,7 @@ import pytest
 
 import ternary_dynamics._pool
 import ternary_dynamics.cli
+from ternary_dynamics import InvalidInputError
 from ternary_dynamics._pool import WorkerLostError, ordered_map
 from ternary_dynamics.cli import main
 
@@ -79,9 +80,22 @@ def _outputs(capsys, tmp_path, argv):
 def test_a_pooled_sweep_writes_the_bytes_of_one_process(capsys, tmp_path, monkeypatch, fmt,
                                                         simulate, grid):
     argv = ["sweep", *grid, *INIT, "--format", fmt, *simulate]
+    here = []
+    real_sweep = ternary_dynamics.cli.sweep
+
+    def chunk_sweep(cells, *args, **kwargs):
+        # in a worker too: its AssertionError reaches main in this process
+        assert len(cells) <= 8
+        here.append(len(cells))
+        return real_sweep(cells, *args, **kwargs)
+
+    monkeypatch.setattr(ternary_dynamics.cli, "sweep", chunk_sweep)
     with monkeypatch.context() as m:
         m.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 1)
+        m.setattr(ternary_dynamics.cli, "_SWEEP_CHUNK_CELLS", 8)
         alone = _outputs(capsys, tmp_path, argv)
+    # each of the two runs spans two or more chunks, all run in this process
+    assert len(here) >= 4 and max(here) == 8
     with monkeypatch.context() as m:
         started = _force_pool(m)
         pooled = _outputs(capsys, tmp_path, argv)
@@ -108,9 +122,10 @@ def test_the_calling_process_formats_the_first_chunk_and_the_emitter_frames_the_
     calls = []
     emit = SERIALIZE.sweep_to_json
 
-    def recording_emit(out, rows, formatted=False):
-        calls.append(formatted)
-        emit(out, rows, formatted)
+    def recording_emit(out, texts):
+        received = []
+        calls.append(received)
+        emit(out, (received.append(text) or text for text in texts))
 
     monkeypatch.setattr(SERIALIZE, "sweep_to_json", recording_emit)
     here = []
@@ -123,7 +138,9 @@ def test_the_calling_process_formats_the_first_chunk_and_the_emitter_frames_the_
     monkeypatch.setattr(CLASSIFY, "classify", recording_classify)
     assert main(["sweep", *AXES, *INIT, "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 105
-    assert calls == [True] and pooled == ["fork"]
+    # one call, given the text of each of the 14 chunks
+    assert [len(received) for received in calls] == [14] and pooled == ["fork"]
+    assert all(isinstance(text, str) for text in calls[0])
     assert here == [os.getpid()] * 8  # the first chunk's cells only
 
 
@@ -150,6 +167,31 @@ def test_every_sweep_setting_is_checked_before_the_first_byte(capsys, tmp_path, 
     assert main([*argv, "--output", str(tmp_path / "sweep.csv")]) == 2
     assert list(tmp_path.iterdir()) == []
     assert started == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3], ids=["one-process", "pooled"])
+def test_an_error_in_a_later_chunk_ends_the_run_with_its_exit_code(capsys, tmp_path,
+                                                                   monkeypatch, cpus):
+    # a sweep computes its rows while it writes them: an error past the first chunk,
+    # here or in a worker, still gives its exit code and leaves no output file
+    _force_pool(monkeypatch)
+    monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: cpus)
+    real_sweep = ternary_dynamics.cli.sweep
+
+    def failing_sweep(cells, *args, **kwargs):
+        if (0.9, 0.6, 0.5) in cells:  # the grid's last cell
+            raise InvalidInputError("the last cell fails")
+        return real_sweep(cells, *args, **kwargs)
+
+    monkeypatch.setattr(ternary_dynamics.cli, "sweep", failing_sweep)
+    argv = ["sweep", *AXES, *INIT]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the last cell fails\n"
+    assert len(captured.out.splitlines()) == 1 + 13 * 8  # the header and 13 full chunks
+    assert main([*argv, "--output", str(tmp_path / "sweep.csv")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_no_worker_outlives_a_pooled_sweep_into_a_closed_pipe(pooled, monkeypatch):
