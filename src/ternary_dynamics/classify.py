@@ -26,6 +26,7 @@ from .core import (
     SimplexPoint,
     _clamped_step,
     _count,
+    _params_in_range,
     _range_flags,
     build_regression_matrix,
     compute_equilibrium,
@@ -278,13 +279,16 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
         # A cell that is not classified sets only the fields where its row differs.
         report = rho_m = predicted = contraction = simulated = agreement = None
         flags = []
-        try:
-            params = DirectingParams(v0, v1, v2, bound_check=bound_check)
-        except InvalidInputError:
-            scenario = "invalid_params"
-        else:
-            if not bound_check:
+        params = _params_in_range(v0, v1, v2)
+        if params is None:
+            # Out of range or not finite: only bound_check=False builds it, with a range flag.
+            try:
+                params = DirectingParams(v0, v1, v2, bound_check=bound_check)
+            except InvalidInputError:
+                scenario = "invalid_params"
+            else:
                 flags += _range_flags(params)
+        if params is not None:
             try:
                 report = classify(params, coordinate)
             except NoEquilibriumError:

@@ -13,8 +13,9 @@ components may leave ``[0, 1]``.  Two steppers are provided:
   limits 0 and 1 are reachable.
 
 The parameter, state and equilibrium types are immutable tuples, validated once
-where a value enters.  The kernel steps in floats, and the states that the
-clamp or the multinomial draws build are not checked again.
+where a value enters: a sweep cell of three floats in [-1, 1] by one range test,
+any other value by its constructor.  The kernel steps in floats, and the states
+that the clamp or the multinomial draws build are not checked again.
 """
 
 import math
@@ -99,6 +100,16 @@ class DirectingParams(_Validated, namedtuple("DirectingParams", "v0 v1 v2")):
     def in_model_range(self):
         """True when every parameter lies in [-1, 1]."""
         return max(abs(self.v0), abs(self.v1), abs(self.v2)) <= 1.0
+
+
+def _params_in_range(v0, v1, v2):
+    """``DirectingParams`` of three floats in [-1, 1], built without the checks that cannot fail.
+
+    Any other triple gives ``None``: a NaN fails every comparison, an infinity the bound.
+    """
+    if -1.0 <= v0 <= 1.0 and -1.0 <= v1 <= 1.0 and -1.0 <= v2 <= 1.0:
+        return tuple.__new__(DirectingParams, (v0, v1, v2))
+    return None
 
 
 def _range_flags(params):
@@ -186,14 +197,15 @@ def build_regression_matrix(params):
     The parameters are read as floats, so the kernel steps in double precision.
     """
     v0, v1, v2 = map(float, params)
-    rows = (
-        (2.0 * v0, -v1, -v2),
-        (-v0, 2.0 * v1, -v2),
-        (-v0, -v1, 2.0 * v2),
-    )
-    if not all(math.isfinite(x) for row in rows for x in row):
+    d0, d1, d2 = 2.0 * v0, 2.0 * v1, 2.0 * v2
+    # Each off-diagonal entry -v_n is finite whenever the diagonal 2*v_n is.
+    if not (math.isfinite(d0) and math.isfinite(d1) and math.isfinite(d2)):
         raise InvalidInputError("regression matrix entries must be finite")
-    return rows
+    return (
+        (d0, -v1, -v2),
+        (-v0, d1, -v2),
+        (-v0, -v1, d2),
+    )
 
 
 def compute_equilibrium(params):

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -533,6 +534,79 @@ def test_sweep_out_of_range_cells_flagged_when_allowed():
     rows = sweep([(2.0, 1.0, 1.0)], 0, SimplexPoint(0.5, 0.3, 0.2), bound_check=False)
     assert rows[0].scenario in {"attractive", "repulsive", "dominant", "degenerate"}
     assert "params_out_of_range" in rows[0].flags
+
+
+class _Float(float):
+    """A float subclass; ``sweep`` reads it as the float it holds."""
+
+
+_EDGES = (1.0, -1.0, math.nextafter(1.0, math.inf), math.nextafter(-1.0, -math.inf), 0.0, -0.0,
+          5e-324, math.nan, math.inf, -math.inf, 1e308)
+_TYPED_CELLS = [
+    (1, 0, -1), (2, 0, 1), (True, False, True), (np.float64(0.25), np.float64(-1.0), 0.5),
+    (np.float64(1.5), 0.1, 0.1), (Fraction(1, 3), Fraction(-1, 2), Fraction(1)),
+    (Fraction(3, 2), Fraction(1, 7), 0.2), (_Float(0.5), _Float(-0.75), _Float(1.0)),
+    (_Float(math.nan), 0.1, 0.1), (1, Fraction(-1, 3), np.float64(0.2)), (10**400, 0.1, 0.1),
+]
+_component = st.one_of(
+    st.sampled_from(_EDGES), st.floats(-1.5, 1.5), st.floats(), st.integers(-2, 2), st.booleans(),
+    st.fractions(-2, 2, max_denominator=1000), st.floats(-1.5, 1.5).map(np.float64),
+    st.floats(-1.5, 1.5).map(_Float))
+
+
+def _sweep_one_cell(cell, force_constructor, **kwargs):
+    """``repr`` of a one-cell sweep's rows and of the parameters classified, or the error text.
+
+    With ``force_constructor`` the in-range helper always returns ``None``, so the cell is
+    built by the validating ``DirectingParams``.  Otherwise the test checks that the helper
+    skips the checks exactly for three floats in [-1, 1].
+    """
+    in_range = CLASSIFY._params_in_range
+    classified = []
+
+    def recording_classify(params, coordinate):
+        classified.append(params)
+        return classify(params, coordinate)
+
+    def checked_helper(*values):
+        params = in_range(*values)
+        floats = tuple(map(float, cell))
+        assert (params is not None) == all(-1.0 <= v <= 1.0 for v in floats)
+        if params is not None:
+            assert type(params) is DirectingParams and params == floats
+            assert all(type(v) is float for v in params)
+        return params
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CLASSIFY, "classify", recording_classify)
+        m.setattr(CLASSIFY, "_params_in_range",
+                  (lambda *values: None) if force_constructor else checked_helper)
+        try:
+            rows = sweep([cell], 0, SimplexPoint(0.5, 0.3, 0.2), **kwargs)
+        except InvalidInputError as exc:
+            return str(exc)
+    return repr(rows), repr(classified)
+
+
+def _assert_fast_path_gives_constructor_rows(cell, **kwargs):
+    assert _sweep_one_cell(cell, False, **kwargs) == _sweep_one_cell(cell, True, **kwargs)
+
+
+_SWEEP_SETTINGS = pytest.mark.parametrize("bound_check, simulate", list(itertools.product(
+    [True, False], [False, True])))
+
+
+@_SWEEP_SETTINGS
+def test_sweep_fast_path_rows_equal_the_constructor_rows_on_edge_cells(bound_check, simulate):
+    for cell in [*itertools.product(_EDGES, repeat=3), *_TYPED_CELLS]:
+        _assert_fast_path_gives_constructor_rows(cell, bound_check=bound_check, simulate=simulate)
+
+
+@_SWEEP_SETTINGS
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cell=st.tuples(_component, _component, _component))
+def test_sweep_fast_path_rows_equal_the_constructor_rows(cell, bound_check, simulate):
+    _assert_fast_path_gives_constructor_rows(cell, bound_check=bound_check, simulate=simulate)
 
 
 def test_sweep_unresolved_prediction_flag():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -176,6 +177,34 @@ def test_matrix_rejects_nonfinite_entries_from_unvalidated_params(bad):
         trajectory((0.1, bad, 0.1), init, 3, mode="clamped")
     with pytest.raises(InvalidInputError, match="finite"):
         estimate_limit((0.1, 0.1, bad), init)
+
+
+_MATRIX_EDGES = (0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 8.98846567431158e307,
+                 math.nextafter(8.98846567431158e307, 0.0), math.inf, -math.inf, math.nan,
+                 5e-324, 1.7976931348623157e308)
+
+
+def _check_matrix_finiteness_rule(v):
+    # The rule restated over all nine entries: diagonal 2*v_m, off-diagonal -v_n.
+    entries = [2.0 * v[m] if m == n else -v[n] for m in range(3) for n in range(3)]
+    try:
+        rows = build_regression_matrix(v)
+    except InvalidInputError:
+        assert not all(map(math.isfinite, entries))
+    else:
+        assert all(map(math.isfinite, entries))
+        assert [x for row in rows for x in row] == entries
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(params=st.tuples(*[st.one_of(st.sampled_from(_MATRIX_EDGES), st.floats())] * 3))
+def test_matrix_raises_exactly_when_an_entry_is_not_finite(params):
+    _check_matrix_finiteness_rule(params)
+
+
+def test_matrix_raises_exactly_when_an_entry_is_not_finite_on_edge_triples():
+    for params in itertools.product(_MATRIX_EDGES, repeat=3):
+        _check_matrix_finiteness_rule(params)
 
 
 # -------------------------------------------------------------- equilibrium

@@ -116,6 +116,20 @@ def test_the_out_of_range_grid_is_pooled_at_the_real_threshold(capsys, monkeypat
         "feb2b1953e6baf95d391d8a7fe9fca0a4e838ddb0bc80513068b9d94c0edc434")
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_41_cubed_classify_only_grid_is_pinned(capsys, monkeypatch, cpus):
+    # the sweep_classify benchmark input at seed 0 (68,921 cells); 1 CPU keeps every chunk here
+    monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: cpus)
+    started = _recording_contexts(monkeypatch)
+    axis = "-0.9:0.9:0.045"
+    code = main(["sweep", "--v0", axis, "--v1", axis, "--v2", axis, "--m", "0", *INIT,
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0 and started == ["fork"] * (cpus > 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b0b83349203a82d5ed1f8bdec8c81d438b24403765243246ca1d17270066c01")
+
+
 def test_the_calling_process_formats_the_first_chunk_and_the_emitter_frames_the_rest(
         pooled, capsys, monkeypatch):
     # the traced benchmark reads classify spans and the sweep emitter in this process
