@@ -8,27 +8,35 @@ processes, and :func:`ordered_map` maps a function over the tasks, in forked
 workers or in the calling process.  Results come back in task order either
 way, so the output does not depend on the CPU count.
 
-Each worker talks to the calling process over its own pipe: it receives a
-task, sends back the result, and waits for the next task.  The calling
-process runs no thread for this, so it stays safe to fork, and a worker
-that dies is seen at once, as the end of its pipe.  ``multiprocessing`` is
-imported only when workers start.
+Each worker is forked with ``os.fork`` and talks to the calling process
+over two pipes of its own: it reads a task, writes back the result, and
+waits for the next task.  Tasks and results cross the pipes as pickles,
+each preceded by its length.  The calling process runs no thread for this,
+so it stays safe to fork; it waits on the result pipes with ``select``, and
+sees a worker that dies at once, as the end of its result pipe.  ``pickle``
+and ``select`` are imported only when workers start.
 """
 
 import contextlib
 import os
 from itertools import islice
 
-# Tasks handed out ahead of the result the caller waits for, per worker:
-# enough to keep every worker busy, few enough that the results waiting
-# for the caller stay small.
+# Tasks handed out ahead of the result the caller waits for, per worker.
+# Each worker holds one task at a time; the window bounds how many finished
+# results wait in the calling process for the caller to take them.
 _AHEAD_PER_WORKER = 2
+
+_LENGTH_BYTES = 8  # the length that precedes each pickle on a pipe
 
 _END = object()  # what next() gives for a task list that has run out
 
 
 class WorkerLostError(RuntimeError):
     """A worker process ended abruptly, e.g. killed by a signal or the out-of-memory killer."""
+
+
+def _lost():
+    return WorkerLostError("a worker process ended abruptly (killed by a signal, or out of memory)")
 
 
 def _usable_cpus():
@@ -59,27 +67,87 @@ def workers_for(tasks, size, min_size):
     return workers
 
 
-def _serve(fn, conn, inherited):
-    """Worker loop: send back ``(True, fn(task))`` or ``(False, error)`` for each task received.
+def _frame(obj):
+    """``obj`` pickled, preceded by its length: one message on a pipe."""
+    import pickle
 
-    The loop ends when the calling process exits, which closes the pipe; a
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(_LENGTH_BYTES, "little") + data
+
+
+def _write(fd, frame):
+    view = memoryview(frame)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd, size):
+    """``size`` bytes from ``fd``, read in place; EOFError if the pipe ends first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        count = os.readv(fd, [view])
+        if not count:
+            raise EOFError
+        view = view[count:]
+    return data
+
+
+def _receive(fd):
+    """The next object framed on ``fd``; EOFError if the pipe ends before all of it."""
+    import pickle
+
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, _LENGTH_BYTES), "little")))
+
+
+def _serve(fn, tasks, results):
+    """Worker loop: write ``(True, fn(task))`` or ``(False, error)`` for each task read.
+
+    The loop ends when the calling process closes the task pipe or exits; a
     Ctrl-C is left to the calling process, which then stops the workers.
     """
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited:  # the calling process's ends, so that its exit closes the pipe
-        other.close()
+    while True:
+        try:
+            task = _receive(tasks)
+        except EOFError:
+            return
+        try:
+            frame = _frame((True, fn(task)))
+        except Exception as exc:
+            frame = _frame((False, exc))
+        _write(results, frame)
+
+
+def _fork(fn, workers):
+    """Fork one more worker running ``fn``; append its ``(pid, task fd, result fd)`` to ``workers``.
+
+    The worker closes the calling process's ends of its own pipes and of its
+    siblings', so that the calling process's exit ends every pipe, and it
+    leaves by ``os._exit``: it never returns into the caller's code.
+    """
+    task_read, task_write = os.pipe()
+    result_read, result_write = os.pipe()
     try:
-        while True:
-            task = conn.recv()
-            try:
-                outcome = True, fn(task)
-            except Exception as exc:
-                outcome = False, exc
-            conn.send(outcome)
-    except (EOFError, BrokenPipeError):
-        pass
+        pid = os.fork()
+    except BaseException:
+        for fd in (task_read, task_write, result_read, result_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (task_write, result_read, *(fd for _, *ends in workers for fd in ends)):
+                os.close(fd)
+            _serve(fn, task_read, result_write)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(task_read)
+    os.close(result_write)
+    workers.append((pid, task_write, result_read))
 
 
 @contextlib.contextmanager
@@ -97,42 +165,49 @@ def ordered_map(fn, tasks, workers, here=0):
     if not workers:
         yield map(fn, tasks)
         return
-    import multiprocessing
+    import gc
+    import pickle  # here, before the forks, rather than once in every worker
+    import signal
 
-    context = multiprocessing.get_context("fork")
     tasks = iter(tasks)
     local = list(islice(tasks, here))
-    procs, conns = [], []
+    started = []
+    # A frozen object is left out of every collection, so the workers'
+    # collections do not copy the pages they share with this process.  A
+    # caller that froze objects itself keeps its own state.
+    freeze = not gc.get_freeze_count()
     try:
+        if freeze:
+            gc.freeze()
         for _ in range(workers):
-            conn, child_conn = context.Pipe()
-            proc = context.Process(target=_serve, args=(fn, child_conn, [*conns, conn]))
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(conn)
-        yield _results(fn, local, tasks, conns)
+            _fork(fn, started)
+        yield _results(fn, local, tasks, started)
     finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+        for pid, task_write, result_read in started:
+            os.kill(pid, signal.SIGKILL)
+            os.close(task_write)
+            os.close(result_read)
+        for pid, *_ in started:
+            os.waitpid(pid, 0)
+        if freeze:
+            gc.unfreeze()
 
 
-def _results(fn, local, tasks, conns):
-    """``fn`` of the ``local`` tasks, here, then of ``tasks``, on the workers at ``conns``."""
-    from multiprocessing.connection import wait
+def _results(fn, local, tasks, workers):
+    """``fn`` of the ``local`` tasks, here, then of ``tasks``, on the forked ``workers``."""
+    import select
 
-    ahead = _AHEAD_PER_WORKER * len(conns)
-    idle, busy, done = list(conns), {}, {}
+    ahead = _AHEAD_PER_WORKER * len(workers)
+    idle, busy, done = list(workers), {}, {}  # busy: result fd -> (worker, task index)
     sent = index = 0  # tasks handed out; the next result to yield
     while True:
         while idle and sent < index + ahead and (task := next(tasks, _END)) is not _END:
-            conn = idle.pop()
-            conn.send(task)
-            busy[conn] = sent
+            worker = idle.pop()
+            try:
+                _write(worker[1], _frame(task))
+            except BrokenPipeError:  # the worker died while it waited for a task
+                raise _lost() from None
+            busy[worker[2]] = worker, sent
             sent += 1
         if local:  # this process's share, while the workers run the first tasks
             yield from map(fn, local)
@@ -146,11 +221,10 @@ def _results(fn, local, tasks, conns):
                 raise value
             yield value
             continue
-        for conn in wait(list(busy)):
+        for fd in select.select(list(busy), [], [])[0]:
+            worker, i = busy.pop(fd)
             try:
-                done[busy.pop(conn)] = conn.recv()
+                done[i] = _receive(fd)
             except EOFError:
-                raise WorkerLostError(
-                    "a worker process ended abruptly (killed by a signal, or out of memory)"
-                ) from None
-            idle.append(conn)
+                raise _lost() from None
+            idle.append(worker)

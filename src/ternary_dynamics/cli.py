@@ -308,20 +308,24 @@ def _cmd_classify(args):
         out, args.format, serialize.CLASSIFICATION_HEADER, rows, single=True)
 
 
-# A sweep runs in chunks of _SWEEP_CHUNK_CELLS cells, each returned as
-# text: in the calling process below these sizes, on forked workers from
-# them on.  On a 2-vCPU host (fresh interpreters, 11 alternating pairs
-# of cli.main calls per grid, JSON and CSV), classify-only sweeps lost in
-# the workers at 5,832 cells (0.119 s in-process, 0.146 s pooled, JSON;
-# 1 pair of 11 won), broke even from 6,859 to 9,261 (4 to 8 pairs won), and
-# won at 10,648 (0.207 s and 0.178 s JSON, 7 pairs won; 0.241 s and 0.190 s
-# CSV, 10 won).  A --simulate cell costs more: the workers won 7-8 pairs of
-# 11 at 2,744 cells, 8-11 at 4,096 to 5,832 (0.382 s and 0.284 s CSV at
-# 5,832) and 6-9 at 6,859, so those sweeps keep the earlier threshold of
-# 5,000 cells.
-_SWEEP_POOL_MIN_CELLS = 8_000
-_SIMULATE_POOL_MIN_CELLS = 5_000
+# A sweep runs in chunks of cells, each returned as text: in the calling
+# process below its threshold, on forked workers from it on.  On a 2-vCPU
+# host (fresh interpreters, alternating pairs of cli.main calls per grid,
+# in-process -> pooled medians), classify-only sweeps in 2,000-cell chunks
+# lost in the workers at 2,197 cells (JSON 44 -> 54 ms, 0 pairs of 11
+# won), broke even at 2,744 (3-6 of 11 won), and won from 3,000 (JSON
+# 66 -> 60 ms, 9 won; CSV 66 -> 59 ms, 10 won) through 3,375, 4,096,
+# 5,832 and 6,859 (9-11 of 11 won at each).  A --simulate cell costs more
+# and varies more: a period-2 cell can run ~4,000 steps, and such cells
+# sit together in the grid, so chunks of 100 cells spread them over the
+# workers (50, 67 and 150 did no better on the 11^3 grid).  Those sweeps
+# lost at 343 cells (21 -> 36 ms, 0 of 11 won), broke even from 729 to
+# 1,089 (4-9 of 11-15 won; 38 -> 42 ms, 5 of 15, at 1,089), and won at
+# 1,210 (76 -> 60 ms, 12 of 15) and 1,331 (107 -> 89 ms, 9 of 11).
+_SWEEP_POOL_MIN_CELLS = 3_000
 _SWEEP_CHUNK_CELLS = 2_000
+_SIMULATE_POOL_MIN_CELLS = 1_200
+_SIMULATE_CHUNK_CELLS = 100
 
 
 def _sweep_text(task):
@@ -351,9 +355,12 @@ def _cmd_sweep(args):
     _check_sweep_settings(args.m, settings["init"], args.tol, args.max_steps, args.agreement_tol)
     as_json = args.format == "json"
     emit = serialize.sweep_to_json if as_json else serialize.sweep_to_csv
-    min_cells = _SIMULATE_POOL_MIN_CELLS if args.simulate else _SWEEP_POOL_MIN_CELLS
-    workers = _pool.workers_for(-(-count // _SWEEP_CHUNK_CELLS), count, min_cells)
-    chunks = iter(lambda: list(itertools.islice(cells, _SWEEP_CHUNK_CELLS)), [])
+    if args.simulate:
+        size, min_cells = _SIMULATE_CHUNK_CELLS, _SIMULATE_POOL_MIN_CELLS
+    else:
+        size, min_cells = _SWEEP_CHUNK_CELLS, _SWEEP_POOL_MIN_CELLS
+    workers = _pool.workers_for(-(-count // size), count, min_cells)
+    chunks = iter(lambda: list(itertools.islice(cells, size)), [])
     tasks = ((chunk, settings, as_json) for chunk in chunks)
 
     def write(out):

@@ -17,8 +17,9 @@ workers, runs every replication in the calling process.
 
 numpy is needed only here, and is imported on the first draw
 (:func:`replication_stream`), not with the package: ``import
-ternary_dynamics`` and the deterministic commands never load it, nor
-``multiprocessing``, which only a run that starts workers imports.
+ternary_dynamics`` and the deterministic commands never load it.  A
+pooled run makes one draw before it forks its workers (:mod:`._pool`), so
+numpy is imported once, not once in every worker.
 """
 
 from collections import namedtuple
@@ -152,11 +153,14 @@ def _run_chunk(task):
 
 
 # A run of fewer stages (replications x steps, summed over volumes) stays in
-# the calling process.  On a 2-vCPU host, starting and stopping two forked
-# workers took 13 ms (median of 15, range 10-29 ms), and ``lln_diagnostic``
-# over three volumes (medians of 7, three sessions) broke even near 10,000
-# stages (~55-66 ms either way) and saved 2-31 ms of 88-128 ms at 20,000.
-_POOL_MIN_STAGES = 20_000
+# the calling process.  On a 2-vCPU host, starting two forked workers, one
+# round trip of 4 tasks and stopping them took ~11 ms, ~3.5 ms of it the
+# import of pickle.  A fresh-interpreter ``stochastic`` call over three
+# volumes and 100 steps (alternating pairs, in-process -> pooled medians,
+# numpy's import included) broke even at 5,100 and 9,900 stages (7 of 11
+# pairs won each), and won at 12,000 (218 -> 198 ms, 16 of 21) and 15,000
+# (234 -> 214 ms, 19 of 21).
+_POOL_MIN_STAGES = 15_000
 
 
 def _map_replications(rows, init, volumes, cfg, ref=None):

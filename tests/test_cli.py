@@ -328,7 +328,7 @@ def test_axis_sweep_streams_the_grid_into_sweep(capsys, monkeypatch):
 
     monkeypatch.setattr(itertools, "product", recording_product)
     monkeypatch.setattr(ternary_dynamics.cli, "sweep", recording_sweep)
-    monkeypatch.setattr(ternary_dynamics.cli, "_SWEEP_CHUNK_CELLS", 8)
+    monkeypatch.setattr(ternary_dynamics.cli, "_SIMULATE_CHUNK_CELLS", 8)
     code, out, err = run(capsys, "sweep", "--v0", "-0.3:0.3:0.1", "--v1", "0.2",
                          "--v2", "-0.1:0.1:0.1", "--init", "0.5,0.3,0.2", "--simulate")
     monkeypatch.undo()
@@ -772,13 +772,15 @@ def test_closed_stdout_pipe_ends_the_run_quietly():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-# Runs in a fresh interpreter: prints, as JSON, which of numpy, statistics and
-# multiprocessing are loaded after each import and each cli.main call.
+# Runs in a fresh interpreter: prints, as JSON, which of numpy, statistics,
+# multiprocessing and select (imported by a pool that starts workers) are
+# loaded after each import and each cli.main call.
 LOADED_AFTER = """
 import json, sys
 out_dir = sys.argv[1]
 def loaded():
-    return [name for name in ("numpy", "statistics", "multiprocessing") if name in sys.modules]
+    return [name for name in ("numpy", "statistics", "multiprocessing", "select")
+            if name in sys.modules]
 import ternary_dynamics
 seen = {"import ternary_dynamics": loaded()}
 import ternary_dynamics.cli as cli

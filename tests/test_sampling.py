@@ -1,5 +1,5 @@
 import io
-import multiprocessing
+import os
 import statistics
 import sys
 import threading
@@ -400,19 +400,29 @@ def test_deviation_table_serialization_round():
 # choose the path whatever the host.  ``pooled`` lowers the stage threshold
 # to 0 and reports 3 CPUs, so 5 or 7 replications split into uneven chunks;
 # ``_both_paths`` also reports 1 CPU for an in-process run.  Both record the
-# contexts asked for, so a test can tell whether a pool ran.
+# workers that ``_pool._fork`` starts, pool by pool, so a test can tell
+# whether a pool ran and how many workers it had.
 
 
-def _recording_contexts(monkeypatch):
-    started = []
-    real = multiprocessing.get_context
+def _recording_pools(monkeypatch):
+    """A list that gets, for each pool started, the number of workers it forked."""
+    pools = []
+    real = ternary_dynamics._pool._fork
 
-    def get_context(method=None):
-        started.append(method)
-        return real(method)
+    def fork(fn, workers):
+        if not workers:  # the first worker of a pool
+            pools.append(0)
+        pools[-1] += 1
+        return real(fn, workers)
 
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    return started
+    monkeypatch.setattr(ternary_dynamics._pool, "_fork", fork)
+    return pools
+
+
+def _assert_no_child_left():
+    # no child process at all, running or waiting to be reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _force_pool(monkeypatch):
@@ -423,7 +433,7 @@ def _force_pool(monkeypatch):
 @pytest.fixture
 def pooled(monkeypatch):
     _force_pool(monkeypatch)
-    return _recording_contexts(monkeypatch)
+    return _recording_pools(monkeypatch)
 
 
 def _both_paths(monkeypatch, call):
@@ -432,15 +442,18 @@ def _both_paths(monkeypatch, call):
     Returns both results and checks that exactly the second call started a
     pool, and that no worker outlives either call.
     """
-    started = _recording_contexts(monkeypatch)
+    started = _recording_pools(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 1)
         alone = call()
-    assert started == [] and multiprocessing.active_children() == []
+    assert started == []
+    _assert_no_child_left()
     with monkeypatch.context() as m:
         _force_pool(m)
         pooled = call()
-    assert started == ["fork"] and multiprocessing.active_children() == []
+    # one pool, of 2 workers (a run of 2 chunks) or 3 (one per reported CPU)
+    assert len(started) == 1 and started[0] in (2, 3)
+    _assert_no_child_left()
     return alone, pooled
 
 
@@ -497,7 +510,7 @@ def test_a_process_with_another_thread_does_not_fork(pooled):
 def test_the_stage_threshold_is_measured_in_stages_of_the_whole_run(monkeypatch):
     sampling = ternary_dynamics.sampling
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
-    started = _recording_contexts(monkeypatch)
+    started = _recording_pools(monkeypatch)
     # 7 replications x 5 steps x 2 volumes = 70 stages
     cfg = SampleConfig(sample_volume=10, replications=7, seed=0, steps=5)
     monkeypatch.setattr(sampling, "_POOL_MIN_STAGES", 71)
@@ -505,8 +518,8 @@ def test_the_stage_threshold_is_measured_in_stages_of_the_whole_run(monkeypatch)
     assert started == []
     monkeypatch.setattr(sampling, "_POOL_MIN_STAGES", 70)
     lln_diagnostic(PARAMS, INIT, [10, 100], cfg)
-    assert started == ["fork"]
-    assert multiprocessing.active_children() == []
+    assert started == [3]
+    _assert_no_child_left()
 
 
 # Replications 2 and 5 of the (seed 5, n = 1000) run fail: 2 at its last step,
@@ -579,5 +592,5 @@ def test_no_worker_outlives_a_cli_run_into_a_closed_pipe(pooled, monkeypatch):
     with pytest.raises(BrokenPipeError):
         main(["stochastic", "--v", "0.1,0.1,0.1", "--init", "0.5,0.3,0.2", "--n", "10,100",
               "--reps", "5", "--seed", "5", "--steps", "6"])
-    assert pooled == ["fork"]
-    assert multiprocessing.active_children() == []
+    assert pooled == [3]
+    _assert_no_child_left()

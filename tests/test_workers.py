@@ -1,4 +1,5 @@
-"""Worker processes: the pooled sweep, settings checks before the first byte, lost workers.
+"""Worker processes: the pooled sweep, settings checks before the first byte, lost workers,
+and the pool itself.
 
 A sweep of at least ``cli._SWEEP_POOL_MIN_CELLS`` cells (``--simulate``:
 ``cli._SIMULATE_POOL_MIN_CELLS``) in a process that may use several CPUs
@@ -6,18 +7,20 @@ runs its chunks of cells in forked workers, which return their rows as
 text.  The tests choose the path whatever the host: ``_force_pool``
 lowers both thresholds to 0, cuts the chunks to 8 cells and
 reports 3 CPUs; 1 reported CPU keeps every cell in this process.  Each
-records the ``multiprocessing`` contexts asked for, so a test can tell
-whether workers started.
+records the workers that ``_pool._fork`` starts, pool by pool, so a test
+can tell whether and how many workers started.
 """
 
+import contextlib
+import gc
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -39,24 +42,38 @@ OUT_OF_RANGE = ("--v0", "-3:3:0.25", "--v1", "-3:3:0.25", "--v2", "-3:3:0.5", "-
                 "--allow-out-of-range")
 
 
-def _recording_contexts(monkeypatch):
-    started = []
-    real = multiprocessing.get_context
+def _recording_pools(monkeypatch):
+    """A list that gets, for each pool started, the number of workers it forked."""
+    pools = []
+    real = ternary_dynamics._pool._fork
 
-    def get_context(method=None):
-        started.append(method)
-        return real(method)
+    def fork(fn, workers):
+        if not workers:  # the first worker of a pool
+            pools.append(0)
+        pools[-1] += 1
+        return real(fn, workers)
 
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    return started
+    monkeypatch.setattr(ternary_dynamics._pool, "_fork", fork)
+    return pools
+
+
+def _assert_no_child_left():
+    # no child process at all, running or waiting to be reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _chunks_of_8(monkeypatch):
+    monkeypatch.setattr(ternary_dynamics.cli, "_SWEEP_CHUNK_CELLS", 8)
+    monkeypatch.setattr(ternary_dynamics.cli, "_SIMULATE_CHUNK_CELLS", 8)
 
 
 def _force_pool(monkeypatch):
     monkeypatch.setattr(ternary_dynamics.cli, "_SWEEP_POOL_MIN_CELLS", 0)
     monkeypatch.setattr(ternary_dynamics.cli, "_SIMULATE_POOL_MIN_CELLS", 0)
-    monkeypatch.setattr(ternary_dynamics.cli, "_SWEEP_CHUNK_CELLS", 8)
+    _chunks_of_8(monkeypatch)
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
-    return _recording_contexts(monkeypatch)
+    return _recording_pools(monkeypatch)
 
 
 @pytest.fixture
@@ -76,9 +93,11 @@ def _outputs(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("simulate", [(), ("--simulate",)])
-@pytest.mark.parametrize("grid", [AXES, CELLS, OUT_OF_RANGE], ids=["axes", "cells", "out_of_range"])
+# the 10 --cells make 2 chunks of 8 cells or fewer, and so 2 workers
+@pytest.mark.parametrize("grid, workers", [(AXES, 3), (CELLS, 2), (OUT_OF_RANGE, 3)],
+                         ids=["axes", "cells", "out_of_range"])
 def test_a_pooled_sweep_writes_the_bytes_of_one_process(capsys, tmp_path, monkeypatch, fmt,
-                                                        simulate, grid):
+                                                        simulate, grid, workers):
     argv = ["sweep", *grid, *INIT, "--format", fmt, *simulate]
     here = []
     real_sweep = ternary_dynamics.cli.sweep
@@ -92,15 +111,15 @@ def test_a_pooled_sweep_writes_the_bytes_of_one_process(capsys, tmp_path, monkey
     monkeypatch.setattr(ternary_dynamics.cli, "sweep", chunk_sweep)
     with monkeypatch.context() as m:
         m.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 1)
-        m.setattr(ternary_dynamics.cli, "_SWEEP_CHUNK_CELLS", 8)
+        _chunks_of_8(m)
         alone = _outputs(capsys, tmp_path, argv)
     # each of the two runs spans two or more chunks, all run in this process
     assert len(here) >= 4 and max(here) == 8
     with monkeypatch.context() as m:
         started = _force_pool(m)
         pooled = _outputs(capsys, tmp_path, argv)
-    assert started == ["fork", "fork"]
-    assert multiprocessing.active_children() == []
+    assert started == [workers, workers]
+    _assert_no_child_left()
     assert pooled == alone
     assert pooled[0] == pooled[1]
 
@@ -108,24 +127,46 @@ def test_a_pooled_sweep_writes_the_bytes_of_one_process(capsys, tmp_path, monkey
 def test_the_out_of_range_grid_is_pooled_at_the_real_threshold(capsys, monkeypatch):
     # the grid of test_out_of_range_sweep_output, 8,125 cells, with its pinned digest
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 2)
-    started = _recording_contexts(monkeypatch)
+    started = _recording_pools(monkeypatch)
     code = main(["sweep", *OUT_OF_RANGE, *INIT])
     out = capsys.readouterr().out
-    assert code == 0 and started == ["fork"]
+    assert code == 0 and started == [2]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "feb2b1953e6baf95d391d8a7fe9fca0a4e838ddb0bc80513068b9d94c0edc434")
+
+
+# the sweep_simulate benchmark input at seed 0 (1,331 cells), above _SIMULATE_POOL_MIN_CELLS
+GRID_11 = ("--v0", "-0.9:0.9:0.18", "--v1", "-0.9:0.9:0.18", "--v2", "-0.9:0.9:0.18", "--m", "0")
+
+
+@pytest.mark.parametrize("grid, fmt", [(GRID_11, "csv"), (OUT_OF_RANGE, "csv"),
+                                       (OUT_OF_RANGE, "json")],
+                         ids=["11_cubed", "out_of_range-csv", "out_of_range-json"])
+def test_simulate_sweeps_are_pooled_at_the_real_constants_with_the_bytes_of_one_process(
+        capsys, tmp_path, monkeypatch, grid, fmt):
+    argv = ["sweep", *grid, *INIT, "--simulate", "--format", fmt]
+    started = _recording_pools(monkeypatch)
+    monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 1)
+    alone = _outputs(capsys, tmp_path, argv)
+    assert started == []
+    monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
+    pooled = _outputs(capsys, tmp_path, argv)
+    assert started == [3, 3]
+    _assert_no_child_left()
+    assert pooled == alone
+    assert pooled[0] == pooled[1]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_the_41_cubed_classify_only_grid_is_pinned(capsys, monkeypatch, cpus):
     # the sweep_classify benchmark input at seed 0 (68,921 cells); 1 CPU keeps every chunk here
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: cpus)
-    started = _recording_contexts(monkeypatch)
+    started = _recording_pools(monkeypatch)
     axis = "-0.9:0.9:0.045"
     code = main(["sweep", "--v0", axis, "--v1", axis, "--v2", axis, "--m", "0", *INIT,
                  "--format", "json"])
     out = capsys.readouterr().out
-    assert code == 0 and started == ["fork"] * (cpus > 1)
+    assert code == 0 and started == [2] * (cpus > 1)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7b0b83349203a82d5ed1f8bdec8c81d438b24403765243246ca1d17270066c01")
 
@@ -153,7 +194,7 @@ def test_the_calling_process_formats_the_first_chunk_and_the_emitter_frames_the_
     assert main(["sweep", *AXES, *INIT, "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 105
     # one call, given the text of each of the 14 chunks
-    assert [len(received) for received in calls] == [14] and pooled == ["fork"]
+    assert [len(received) for received in calls] == [14] and pooled == [3]
     assert all(isinstance(text, str) for text in calls[0])
     assert here == [os.getpid()] * 8  # the first chunk's cells only
 
@@ -171,7 +212,7 @@ def test_every_sweep_setting_is_checked_before_the_first_byte(capsys, tmp_path, 
                                                               setting, message, simulate):
     # a 21^3 grid, above the real threshold, on 3 reported CPUs
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
-    started = _recording_contexts(monkeypatch)
+    started = _recording_pools(monkeypatch)
     axis = "-0.9:0.9:0.09"
     argv = ["sweep", "--v0", axis, "--v1", axis, "--v2", axis, *INIT, *setting, *simulate]
     assert main(argv) == 2
@@ -188,7 +229,7 @@ def test_an_error_in_a_later_chunk_ends_the_run_with_its_exit_code(capsys, tmp_p
                                                                    monkeypatch, cpus):
     # a sweep computes its rows while it writes them: an error past the first chunk,
     # here or in a worker, still gives its exit code and leaves no output file
-    _force_pool(monkeypatch)
+    started = _force_pool(monkeypatch)
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: cpus)
     real_sweep = ternary_dynamics.cli.sweep
 
@@ -205,7 +246,8 @@ def test_an_error_in_a_later_chunk_ends_the_run_with_its_exit_code(capsys, tmp_p
     assert len(captured.out.splitlines()) == 1 + 13 * 8  # the header and 13 full chunks
     assert main([*argv, "--output", str(tmp_path / "sweep.csv")]) == 2
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    assert started == [3, 3] * (cpus > 1)
+    _assert_no_child_left()
 
 
 def test_no_worker_outlives_a_pooled_sweep_into_a_closed_pipe(pooled, monkeypatch):
@@ -216,17 +258,21 @@ def test_no_worker_outlives_a_pooled_sweep_into_a_closed_pipe(pooled, monkeypatc
     monkeypatch.setattr(sys, "stdout", BrokenStdout())
     with pytest.raises(BrokenPipeError):
         main(["sweep", *AXES, *INIT, "--simulate"])
-    assert pooled == ["fork"]
-    assert multiprocessing.active_children() == []
+    assert pooled == [3]
+    _assert_no_child_left()
 
 
-# Runs in a fresh interpreter: prints, as JSON, whether multiprocessing is
-# loaded after a sweep of ``threshold + offset`` cells on 3 reported CPUs,
-# where a --simulate sweep (a third argument) has its own threshold.
+# Runs in a fresh interpreter: prints, as JSON, how many workers a sweep of
+# ``threshold + offset`` cells on 3 reported CPUs forked, and whether
+# multiprocessing was loaded; a --simulate sweep (a third argument) has its
+# own threshold.
 THRESHOLD_RUN = """
 import json, sys
 import ternary_dynamics._pool as pool, ternary_dynamics.cli as cli
 pool._usable_cpus = lambda: 3
+forks = []
+fork = pool._fork
+pool._fork = lambda fn, workers: forks.append(fn) or fork(fn, workers)
 simulate = sys.argv[3:]
 threshold = cli._SIMULATE_POOL_MIN_CELLS if simulate else cli._SWEEP_POOL_MIN_CELLS
 cells = threshold + int(sys.argv[1])
@@ -234,12 +280,12 @@ assert cells <= 10_001
 argv = ["sweep", "--v0", "0.1", "--v1", "0.2", "--v2", f"0:{(cells - 1) / 10_000!r}:0.0001",
         "--init", "0.5,0.3,0.2", "--output", sys.argv[2], *simulate]
 assert cli.main(argv) == 0
-print(json.dumps("multiprocessing" in sys.modules))
+print(json.dumps([len(forks), "multiprocessing" in sys.modules]))
 """
 
 
 def _threshold_run(tmp_path, offset, *simulate):
-    """Whether THRESHOLD_RUN loaded multiprocessing, and the lines of its CSV."""
+    """THRESHOLD_RUN's workers and whether it loaded multiprocessing, and the lines of its CSV."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     out = tmp_path / "sweep.csv"
@@ -248,21 +294,31 @@ def _threshold_run(tmp_path, offset, *simulate):
     return json.loads(proc.stdout), out.read_text(encoding="utf-8").splitlines()
 
 
-@pytest.mark.parametrize("offset, loaded", [(-1, False), (0, True)])
+def _workers(cells, chunk_cells):
+    """Workers that a pooled sweep of ``cells`` forks on 3 reported CPUs: one per chunk, at most 3."""
+    return min(3, -(-cells // chunk_cells))
+
+
+@pytest.mark.parametrize("offset, pooled", [(-1, False), (0, True)])
 def test_a_grid_under_the_threshold_starts_no_worker_and_loads_no_multiprocessing(
-        tmp_path, offset, loaded):
-    was_loaded, lines = _threshold_run(tmp_path, offset)
-    assert was_loaded is loaded
-    assert len(lines) == 1 + ternary_dynamics.cli._SWEEP_POOL_MIN_CELLS + offset
+        tmp_path, offset, pooled):
+    cli = ternary_dynamics.cli
+    cells = cli._SWEEP_POOL_MIN_CELLS + offset
+    (workers, loaded), lines = _threshold_run(tmp_path, offset)
+    assert workers == pooled * _workers(cells, cli._SWEEP_CHUNK_CELLS) >= 2 * pooled
+    assert loaded is False
+    assert len(lines) == 1 + cells
 
 
-@pytest.mark.parametrize("offset, loaded", [(-1, False), (0, True)])
-def test_a_simulate_grid_uses_its_own_lower_threshold(tmp_path, offset, loaded):
+@pytest.mark.parametrize("offset, pooled", [(-1, False), (0, True)])
+def test_a_simulate_grid_uses_its_own_lower_threshold(tmp_path, offset, pooled):
     cli = ternary_dynamics.cli
     assert cli._SIMULATE_POOL_MIN_CELLS < cli._SWEEP_POOL_MIN_CELLS
-    was_loaded, lines = _threshold_run(tmp_path, offset, "--simulate")
-    assert was_loaded is loaded
-    assert len(lines) == 1 + cli._SIMULATE_POOL_MIN_CELLS + offset
+    cells = cli._SIMULATE_POOL_MIN_CELLS + offset
+    (workers, loaded), lines = _threshold_run(tmp_path, offset, "--simulate")
+    assert workers == pooled * _workers(cells, cli._SIMULATE_CHUNK_CELLS) >= 2 * pooled
+    assert loaded is False
+    assert len(lines) == 1 + cells
 
 
 # ------------------------------------------------------------ lost workers
@@ -272,11 +328,11 @@ def test_a_simulate_grid_uses_its_own_lower_threshold(tmp_path, offset, loaded):
 # a fresh interpreter under a timeout, with a task that kills its own worker.
 
 KILLED_RUN = """
-import json, multiprocessing, os, signal, sys
+import json, os, signal, sys
 import ternary_dynamics._pool as pool, ternary_dynamics.cli as cli, ternary_dynamics.sampling as sampling
 pool._usable_cpus = lambda: 3
 cli._SWEEP_POOL_MIN_CELLS = cli._SIMULATE_POOL_MIN_CELLS = 0
-cli._SWEEP_CHUNK_CELLS = 8
+cli._SWEEP_CHUNK_CELLS = cli._SIMULATE_CHUNK_CELLS = 8
 sampling._POOL_MIN_STAGES = 0
 parent = os.getpid()
 
@@ -287,11 +343,18 @@ def killing(fn):
         return fn(*args)
     return task
 
+def children_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return 0
+    return 1
+
 cli._sweep_text = killing(cli._sweep_text)
 sampling._run_chunk = killing(sampling._run_chunk)
 code = cli.main(json.loads(sys.argv[1]))
 sys.stdout.flush()
-print(json.dumps([code, len(multiprocessing.active_children())]), file=sys.stderr)
+print(json.dumps([code, children_left()]), file=sys.stderr)
 """
 
 
@@ -314,24 +377,123 @@ def test_a_killed_worker_ends_the_run_with_an_error_and_leaves_no_worker(tmp_pat
         assert proc.stdout == ""
 
 
+# ------------------------------------------------------------ the pool itself
+#
+# ordered_map directly, with 2 or 3 workers.  Every wait runs under a
+# deadline, so a pool that waits for a dead worker fails instead of hanging.
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test that takes more than 30 s."""
+    def timeout(signum, frame):
+        raise TimeoutError("ordered_map waited for a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def _kill_self(task):
     if task == 3:
         os.kill(os.getpid(), signal.SIGKILL)
     return task
 
 
-def test_ordered_map_raises_when_a_worker_dies():
-    def timeout(signum, frame):
-        raise TimeoutError("ordered_map waited for a dead worker")
+def test_ordered_map_raises_when_a_worker_dies(deadline):
+    with pytest.raises(WorkerLostError):
+        with ordered_map(_kill_self, range(10), 2) as results:
+            assert next(results) == 0
+            list(results)
+    _assert_no_child_left()
 
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(30)
+
+def _large(task):
+    # 3 MiB, over any pipe's buffer, different for every task
+    return bytes(range(256)) * (3 * 4096) + task.to_bytes(2, "little")
+
+
+def test_a_result_over_1_mib_comes_back_intact(deadline):
+    with ordered_map(_large, range(5), 2, here=1) as results:
+        got = list(results)
+    assert got == [_large(task) for task in range(5)]
+    assert len(got[0]) > 1 << 20
+    _assert_no_child_left()
+
+
+def test_a_worker_killed_in_the_middle_of_a_frame_raises(deadline, monkeypatch):
+    parent = os.getpid()
+    write = ternary_dynamics._pool._write
+
+    def write_half_then_die(fd, frame):
+        if os.getpid() == parent:  # a task, sent by this process
+            return write(fd, frame)
+        write(fd, frame[:len(frame) // 2])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(ternary_dynamics._pool, "_write", write_half_then_die)
+    with pytest.raises(WorkerLostError):
+        with ordered_map(_large, range(4), 2) as results:
+            list(results)
+    _assert_no_child_left()
+
+
+def _divide(task):
+    return 12 // (3 - task)
+
+
+def test_a_worker_error_reaches_the_caller_with_its_type_and_message(deadline):
+    got = []
+    with pytest.raises(ZeroDivisionError) as info:
+        with ordered_map(_divide, range(6), 2) as results:
+            got.extend(results)
+    assert type(info.value) is ZeroDivisionError
+    assert str(info.value) == "integer division or modulo by zero"
+    assert got == [4, 6, 12]  # the results before the first error, in task order
+    _assert_no_child_left()
+
+
+def _one_dies_two_sleep(task):
+    if task == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60)
+
+
+def test_a_killed_worker_is_seen_while_the_others_still_run(deadline):
+    start = time.monotonic()
+    with pytest.raises(WorkerLostError):
+        with ordered_map(_one_dies_two_sleep, range(3), 3) as results:
+            list(results)
+    # the workers of tasks 0 and 2 would sleep for 60 s; they were killed instead
+    assert time.monotonic() - start < 20
+    _assert_no_child_left()
+
+
+def _sigint_ignored(task):
+    return signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+
+
+def test_workers_ignore_sigint(deadline):
+    with ordered_map(_sigint_ignored, range(4), 2) as results:
+        assert list(results) == [True] * 4
+    assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen-by-caller"])
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "error"])
+def test_the_gc_state_is_the_same_after_the_block(deadline, frozen, fails):
+    if frozen:
+        gc.freeze()
     try:
-        with pytest.raises(WorkerLostError):
-            with ordered_map(_kill_self, range(10), 2) as results:
-                assert next(results) == 0
+        before = gc.isenabled(), gc.get_freeze_count()
+        with pytest.raises(ZeroDivisionError) if fails else contextlib.nullcontext():
+            with ordered_map(_divide, range(3 + fails), 2) as results:
+                assert gc.get_freeze_count() > 0  # frozen while the workers run
                 list(results)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+        if frozen:
+            gc.unfreeze()
+    _assert_no_child_left()
