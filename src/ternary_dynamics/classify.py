@@ -317,8 +317,8 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
                     if not estimate.converged:
                         flags.append("not_converged")
                     if predicted is not None:
-                        check = check_agreement(report, estimate, init, tol=agreement_tol)
-                        agreement = "agree" if check.agree else "disagree"
+                        agreement = ("agree" if abs(simulated - predicted) <= agreement_tol
+                                     else "disagree")
         rows.append(tuple.__new__(SweepRow, (
             v0, v1, v2, coordinate, rho_m, triple[coordinate], scenario, predicted, contraction,
             simulated, agreement, tuple(sorted(flags)) if flags else ())))

@@ -7,8 +7,9 @@ pipelines stay clean.  Each command checks all of its input, then returns
 a one-argument writer that passes its header and rows to
 ``serialize.write_table``, so a run with bad input writes no data.  Every
 command but ``sweep`` also computes all of its rows first; a ``sweep``
-formats chunks of rows, here or in forked workers, while its writer
-(``serialize.sweep_to_csv`` or ``sweep_to_json``) writes them in order.
+formats chunks of rows, here or in forked workers, while its chunk writer
+(``serialize.sweep_to_csv`` or ``sweep_to_json``) writes them in order
+under the header that ``_cmd_sweep`` gives it.
 Exit codes: 0 success, 1 a worker process died, 2 invalid input,
 3 no equilibrium, 4 degenerate clamp, 5 boundary classification.
 
@@ -18,6 +19,7 @@ subcommand; flags given on the command line win on conflict.
 """
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -328,11 +330,9 @@ _SIMULATE_POOL_MIN_CELLS = 1_200
 _SIMULATE_CHUNK_CELLS = 100
 
 
-def _sweep_text(task):
-    """The text the sweep's emitter writes for the rows of one chunk of cells."""
-    cells, settings, as_json = task
-    rows = sweep(cells, **settings)
-    return serialize.json_body(serialize.SWEEP_HEADER, rows) if as_json else serialize.csv_body(rows)
+def _sweep_text(settings, body, cells):
+    """``body`` of the rows that ``sweep`` with ``settings`` gives one chunk of ``cells``."""
+    return body(sweep(cells, **settings))
 
 
 def _cmd_sweep(args):
@@ -353,20 +353,26 @@ def _cmd_sweep(args):
                     max_steps=args.max_steps, agreement_tol=args.agreement_tol)
     # every setting is checked here, so that a pooled sweep fails before its first byte
     _check_sweep_settings(args.m, settings["init"], args.tol, args.max_steps, args.agreement_tol)
+    header = serialize.SWEEP_HEADER
     as_json = args.format == "json"
+    body = functools.partial(serialize.json_body, header) if as_json else serialize.csv_body
     emit = serialize.sweep_to_json if as_json else serialize.sweep_to_csv
     if args.simulate:
         size, min_cells = _SIMULATE_CHUNK_CELLS, _SIMULATE_POOL_MIN_CELLS
     else:
         size, min_cells = _SWEEP_CHUNK_CELLS, _SWEEP_POOL_MIN_CELLS
-    workers = _pool.workers_for(-(-count // size), count, min_cells)
+    # this process formats the first chunk itself while the workers start, so the
+    # workers are one per chunk after it at most: none for a grid of one chunk or none
+    chunk_count = -(-count // size)
+    workers = min(_pool.workers_for(chunk_count, count, min_cells), max(chunk_count - 1, 0))
     chunks = iter(lambda: list(itertools.islice(cells, size)), [])
-    tasks = ((chunk, settings, as_json) for chunk in chunks)
 
     def write(out):
-        # with workers, this process formats the first chunk itself while they start
-        with _pool.ordered_map(_sweep_text, tasks, workers, here=1) as texts:
-            emit(out, texts)
+        # _sweep_text is bound as the run starts, not on import; the workers get the binding
+        # with the fork, so each task is just a chunk's cells
+        text = functools.partial(_sweep_text, settings, body)
+        with _pool.ordered_map(text, chunks, workers, here=1) as texts:
+            emit(out, header, texts)
 
     return write
 

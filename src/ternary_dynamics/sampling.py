@@ -9,8 +9,9 @@ runs bit-reproducible and replications independent without any shared
 generator state.
 
 Because replication ``r`` depends on nothing but ``(seed, r)``, a large
-run splits its replications into contiguous chunks and runs them in worker
-processes, one per CPU the process may use.  The output is the same bits
+run splits each volume's replications into contiguous chunks, one per
+worker process, and runs them in workers forked one per CPU the process
+may use (:func:`._pool.workers_for`).  The output is the same bits
 for any CPU count, and there is no option for it: a process that may use
 one CPU or runs other threads, or a run too small to pay for starting the
 workers, runs every replication in the calling process.
@@ -23,6 +24,7 @@ numpy is imported once, not once in every worker.
 """
 
 from collections import namedtuple
+from functools import partial
 from itertools import chain, repeat
 from operator import sub, truediv
 from typing import NamedTuple
@@ -134,14 +136,16 @@ def _replicate(rows, init, n, seed, r, steps):
     return counts
 
 
-def _run_chunk(task):
+def _run_chunk(rows, init, seed, steps, ref, task):
     """Results of replications ``start``..``stop - 1`` at volume ``n``, in order.
 
-    A replication's result is its counts.  Given the flattened clamped path
-    ``ref`` (stages 1..steps), it is only the replication's largest gap to
-    that path, so the counts are dropped where they were drawn.
+    ``task`` is ``(n, start, stop)``; the arguments before it are the run's,
+    the same for every task.  A replication's result is its counts.  Given
+    the flattened clamped path ``ref`` (stages 1..steps), it is only the
+    replication's largest gap to that path, so the counts are dropped where
+    they were drawn.
     """
-    rows, init, n, seed, steps, ref, start, stop = task
+    n, start, stop = task
     results = []
     for r in range(start, stop):
         counts = _replicate(rows, init, n, seed, r, steps)
@@ -166,25 +170,26 @@ _POOL_MIN_STAGES = 15_000
 def _map_replications(rows, init, volumes, cfg, ref=None):
     """Per volume, the :func:`_run_chunk` result of every replication, in replication order.
 
-    Each volume's replications are split into contiguous chunks, one per
-    CPU.  A run of at least ``_POOL_MIN_STAGES`` stages runs them all in
-    forked workers when :func:`._pool.workers_for` allows it; any other run,
-    in this process.  Either way the first error in replication order is
-    raised with its type and message, and no worker is left when this
-    returns.
+    A run of at least ``_POOL_MIN_STAGES`` stages runs them in forked
+    workers when :func:`._pool.workers_for` allows it, each volume's
+    replications split into contiguous chunks, one per worker; any other
+    run, in this process, a volume at a time.  Either way the first error in
+    replication order is raised with its type and message, and no worker is
+    left when this returns.  A task is ``(n, start, stop)``: the rest of
+    :func:`_run_chunk`'s arguments are bound once, and reach the workers
+    with the fork.
     """
     reps, steps, seed = cfg.replications, cfg.steps, cfg.seed
-    size = -(-reps // _pool._usable_cpus())
-    tasks = [(rows, init, n, seed, steps, ref, start, min(start + size, reps))
-             for n in volumes for start in range(0, reps, size)]
-    workers = _pool.workers_for(len(tasks), reps * steps * len(volumes), _POOL_MIN_STAGES)
+    workers = _pool.workers_for(reps * len(volumes), reps * steps * len(volumes), _POOL_MIN_STAGES)
+    # one chunk a worker, or the whole volume in this process; no chunk is empty
+    parts = min(max(workers, 1), reps)
+    tasks = [(n, reps * i // parts, reps * (i + 1) // parts) for n in volumes for i in range(parts)]
     if workers:
         replication_stream(seed, 0)  # loads numpy before the fork, once for every worker
-    with _pool.ordered_map(_run_chunk, tasks, workers) as results:
+    with _pool.ordered_map(partial(_run_chunk, rows, init, seed, steps, ref), tasks,
+                           workers) as results:
         chunks = list(results)
-    per_volume = len(tasks) // len(volumes)
-    return [list(chain.from_iterable(chunks[i:i + per_volume]))
-            for i in range(0, len(chunks), per_volume)]
+    return [list(chain.from_iterable(chunks[i:i + parts])) for i in range(0, len(chunks), parts)]
 
 
 def run_replications(params, init, cfg):

@@ -9,11 +9,12 @@ themselves, or those of the row builder beside its header), written by
 :func:`write_table` through :func:`csv_text` or :func:`json_text` to an open
 text stream, one row at a time as it is formatted; no writer builds or
 returns the document.  :func:`csv_body` and :func:`json_body` format a
-run of rows without the header or the list's brackets, and a ``formatted``
-writer frames such runs, so a table formatted in parts, in other processes
-too, has the bytes of one pass.  The sweep's chunks go through its own
-pair, :func:`sweep_to_csv` and :func:`sweep_to_json`, as the benchmark's
-traced runs time the sweep's writes by those names.  A
+run of rows without the header or the list's brackets.  The chunk writers
+:func:`sweep_to_csv` and :func:`sweep_to_json` take a header and such
+texts, and frame them as :func:`csv_text` and :func:`json_text` frame
+their rows, so a table formatted in chunks, in other processes too, has
+the bytes of one pass; a ``sweep`` writes through them, and the
+benchmark's traced runs time its writes by those names.  A
 tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
 Within one call, a repeated float (a sweep's axis values) is formatted
 once, from a bounded map.
@@ -77,19 +78,11 @@ def _csv_rows(rows):
                for v in row]
 
 
-def csv_text(out, header, rows, formatted=False):
-    """Write ``header`` and ``rows`` as CSV.
-
-    With ``formatted``, each item of ``rows`` is instead the :func:`csv_body`
-    of a run of rows, written as it is.
-    """
+def csv_text(out, header, rows):
+    """Write ``header`` and ``rows`` as CSV."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    if formatted:
-        for text in rows:
-            out.write(text)
-    else:
-        writer.writerows(_csv_rows(rows))
+    writer.writerows(_csv_rows(rows))
 
 
 def csv_body(rows):
@@ -132,7 +125,22 @@ def _json_objects(header, rows, pad):
         yield template % tuple(texts)
 
 
-def json_text(out, header, rows, single=False, formatted=False):
+def _json_list(out, header, texts):
+    """Write ``texts``, objects keyed by ``header``, as one JSON list: ``[]`` when there is none.
+
+    Column names must be distinct, checked before anything is written.
+    """
+    if len(set(header)) != len(header):
+        raise ValueError(f"column names must be distinct, got {header!r}")
+    separator = "[\n  "
+    for text in texts:
+        out.write(separator + text)
+        separator = ",\n  "
+    # separator is still the opening bracket when the list has no item
+    out.write("[]\n" if separator == "[\n  " else "\n]\n")
+
+
+def json_text(out, header, rows, single=False):
     """Write a list of objects keyed by ``header``, or the one object when ``single``.
 
     The text is byte-identical to ``json.JSONEncoder(indent=2).encode`` of
@@ -142,27 +150,21 @@ def json_text(out, header, rows, single=False, formatted=False):
     them), ``str`` and a tuple of ``str``.  Any other value raises
     :class:`TypeError`.  Column names must be distinct and a ``single``
     table has exactly one row, both checked before anything is written;
-    each row has one value per column.  With ``formatted``, each item of
-    ``rows`` is instead the :func:`json_body` of a nonempty run of rows.
+    each row has one value per column.
 
     Each object is formatted as one string and written with its separator.
     With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
     per token, millions of them for a large sweep.  A float that repeats
     within the call is formatted once (:func:`_float_text`).
     """
+    if not single:
+        _json_list(out, header, _json_objects(header, rows, "  "))
+        return
     if len(set(header)) != len(header):
         raise ValueError(f"column names must be distinct, got {header!r}")
-    if single:
-        (row,) = rows
-        (text,) = _json_objects(header, [row], "")
-        out.write(text + "\n")
-        return
-    separator = "[\n  "
-    for text in rows if formatted else _json_objects(header, rows, "  "):
-        out.write(separator + text)
-        separator = ",\n  "
-    # separator is still the opening bracket when the list has no row
-    out.write("[]\n" if separator == "[\n  " else "\n]\n")
+    (row,) = rows
+    (text,) = _json_objects(header, [row], "")
+    out.write(text + "\n")
 
 
 def json_body(header, rows):
@@ -212,12 +214,15 @@ def classification_rows(report, predicted, flags=()):
 SWEEP_HEADER = list(SweepRow._fields)
 
 
-def sweep_to_csv(out, texts):
-    csv_text(out, SWEEP_HEADER, texts, formatted=True)
+def sweep_to_csv(out, header, texts):
+    """Write ``header`` as CSV, then each of ``texts``, the :func:`csv_body` of a run of rows."""
+    csv.writer(out, lineterminator="\n").writerow(header)
+    out.writelines(texts)
 
 
-def sweep_to_json(out, texts):
-    json_text(out, SWEEP_HEADER, texts, formatted=True)
+def sweep_to_json(out, header, texts):
+    """Write ``texts``, each the :func:`json_body` of a nonempty run of rows, as one JSON list."""
+    _json_list(out, header, texts)
 
 
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]

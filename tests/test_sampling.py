@@ -1,5 +1,4 @@
 import io
-import os
 import statistics
 import sys
 import threading
@@ -35,6 +34,8 @@ from ternary_dynamics.serialize import (
     replication_rows,
     write_table,
 )
+
+from conftest import _assert_no_child_left, _recording_pools
 
 
 def emitted(emit, *args, **kwargs):
@@ -402,27 +403,6 @@ def test_deviation_table_serialization_round():
 # ``_both_paths`` also reports 1 CPU for an in-process run.  Both record the
 # workers that ``_pool._fork`` starts, pool by pool, so a test can tell
 # whether a pool ran and how many workers it had.
-
-
-def _recording_pools(monkeypatch):
-    """A list that gets, for each pool started, the number of workers it forked."""
-    pools = []
-    real = ternary_dynamics._pool._fork
-
-    def fork(fn, workers):
-        if not workers:  # the first worker of a pool
-            pools.append(0)
-        pools[-1] += 1
-        return real(fn, workers)
-
-    monkeypatch.setattr(ternary_dynamics._pool, "_fork", fork)
-    return pools
-
-
-def _assert_no_child_left():
-    # no child process at all, running or waiting to be reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _force_pool(monkeypatch):

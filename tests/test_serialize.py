@@ -238,12 +238,12 @@ def test_writers_give_every_repeat_of_a_value_its_own_text_in_long_tables(table)
     expected = reference_json_text(header, rows)
     assert emitted(serialize.json_text, header, rows) == expected
     parts = [serialize.json_body(header, part) for part in (rows[:cut], rows[cut:]) if part]
-    assert emitted(serialize.json_text, header, parts, formatted=True) == expected
+    assert emitted(serialize.sweep_to_json, header, parts) == expected
     expected = reference_csv_body(rows)
     assert serialize.csv_body(rows) == expected
     assert emitted(serialize.csv_text, header, rows) == ",".join(header) + "\n" + expected
     parts = [serialize.csv_body(rows[:cut]), serialize.csv_body(rows[cut:])]
-    assert emitted(serialize.csv_text, header, parts, formatted=True) == (
+    assert emitted(serialize.sweep_to_csv, header, parts) == (
         ",".join(header) + "\n" + expected)
 
 
@@ -274,6 +274,17 @@ class RecordingStream:
     def write(self, text):
         self.writes.append(text)
         return len(text)
+
+
+@pytest.mark.parametrize("emit, texts", [
+    (serialize.json_text, [(1, 2)]),
+    (serialize.sweep_to_json, [serialize.json_body(["x", "y"], [(1, 2)])]),
+], ids=["json_text", "sweep_to_json"])
+def test_json_writers_reject_repeated_column_names_before_writing(emit, texts):
+    stream = RecordingStream()
+    with pytest.raises(ValueError, match="distinct"):
+        emit(stream, ["x", "x"], texts)
+    assert stream.writes == []
 
 
 def sweep_table():
@@ -341,7 +352,7 @@ def test_the_sweep_pair_writes_the_bytes_of_write_table(fmt):
         expected = emitted(serialize.write_table, fmt, header, part)
         for size in (1, 500, 2000):
             texts = [body(part[i:i + size]) for i in range(0, len(part), size)]
-            assert emitted(emit, texts) == expected
+            assert emitted(emit, header, texts) == expected
 
 
 @pytest.mark.parametrize("rows", [[], [(1,), (2,)]], ids=["no-row", "two-rows"])

@@ -12,6 +12,7 @@ can tell whether and how many workers started.
 """
 
 import contextlib
+import errno
 import gc
 import hashlib
 import importlib
@@ -30,6 +31,8 @@ from ternary_dynamics import InvalidInputError
 from ternary_dynamics._pool import WorkerLostError, ordered_map
 from ternary_dynamics.cli import main
 
+from conftest import _assert_no_child_left, _recording_pools
+
 CLASSIFY = importlib.import_module("ternary_dynamics.classify")
 SERIALIZE = importlib.import_module("ternary_dynamics.serialize")
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -40,27 +43,6 @@ CELLS = ("--cells", "0.1,0.1,0.1;-0.2,0.5,-0.4;-0.1,0.3,0.2;0.3,-0.1,0.2;0,0.2,0
                     "0.5,0.5,-0.2;nan,0.1,0.1;0.2,0.2,0.2;-0.9,-0.9,0.9;0.4,-0.4,0.1")
 OUT_OF_RANGE = ("--v0", "-3:3:0.25", "--v1", "-3:3:0.25", "--v2", "-3:3:0.5", "--m", "1",
                 "--allow-out-of-range")
-
-
-def _recording_pools(monkeypatch):
-    """A list that gets, for each pool started, the number of workers it forked."""
-    pools = []
-    real = ternary_dynamics._pool._fork
-
-    def fork(fn, workers):
-        if not workers:  # the first worker of a pool
-            pools.append(0)
-        pools[-1] += 1
-        return real(fn, workers)
-
-    monkeypatch.setattr(ternary_dynamics._pool, "_fork", fork)
-    return pools
-
-
-def _assert_no_child_left():
-    # no child process at all, running or waiting to be reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _chunks_of_8(monkeypatch):
@@ -93,8 +75,9 @@ def _outputs(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("simulate", [(), ("--simulate",)])
-# the 10 --cells make 2 chunks of 8 cells or fewer, and so 2 workers
-@pytest.mark.parametrize("grid, workers", [(AXES, 3), (CELLS, 2), (OUT_OF_RANGE, 3)],
+# the 10 --cells make 2 chunks of 8 cells or fewer: this process formats the first,
+# so 1 worker
+@pytest.mark.parametrize("grid, workers", [(AXES, 3), (CELLS, 1), (OUT_OF_RANGE, 3)],
                          ids=["axes", "cells", "out_of_range"])
 def test_a_pooled_sweep_writes_the_bytes_of_one_process(capsys, tmp_path, monkeypatch, fmt,
                                                         simulate, grid, workers):
@@ -177,10 +160,10 @@ def test_the_calling_process_formats_the_first_chunk_and_the_emitter_frames_the_
     calls = []
     emit = SERIALIZE.sweep_to_json
 
-    def recording_emit(out, texts):
+    def recording_emit(out, header, texts):
         received = []
         calls.append(received)
-        emit(out, (received.append(text) or text for text in texts))
+        emit(out, header, (received.append(text) or text for text in texts))
 
     monkeypatch.setattr(SERIALIZE, "sweep_to_json", recording_emit)
     here = []
@@ -250,6 +233,18 @@ def test_an_error_in_a_later_chunk_ends_the_run_with_its_exit_code(capsys, tmp_p
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("fmt, text", [("csv", ",".join(SERIALIZE.SWEEP_HEADER) + "\n"),
+                                       ("json", "[]\n")])
+@pytest.mark.parametrize("cpus", [1, 3], ids=["one-process", "pooled"])
+def test_an_empty_sweep_writes_the_header_or_an_empty_list(capsys, tmp_path, monkeypatch, fmt,
+                                                           text, cpus):
+    started = _force_pool(monkeypatch)
+    monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: cpus)
+    assert _outputs(capsys, tmp_path, ["sweep", "--cells", ";", *INIT, "--format", fmt]) == (
+        text, text)
+    assert started == []  # no chunk, so no worker
+
+
 def test_no_worker_outlives_a_pooled_sweep_into_a_closed_pipe(pooled, monkeypatch):
     class BrokenStdout:
         def write(self, text):
@@ -295,8 +290,11 @@ def _threshold_run(tmp_path, offset, *simulate):
 
 
 def _workers(cells, chunk_cells):
-    """Workers that a pooled sweep of ``cells`` forks on 3 reported CPUs: one per chunk, at most 3."""
-    return min(3, -(-cells // chunk_cells))
+    """Workers that a pooled sweep of ``cells`` forks on 3 reported CPUs.
+
+    One per chunk but the first, which the calling process formats, and at most 3.
+    """
+    return min(3, -(-cells // chunk_cells) - 1)
 
 
 @pytest.mark.parametrize("offset, pooled", [(-1, False), (0, True)])
@@ -305,7 +303,8 @@ def test_a_grid_under_the_threshold_starts_no_worker_and_loads_no_multiprocessin
     cli = ternary_dynamics.cli
     cells = cli._SWEEP_POOL_MIN_CELLS + offset
     (workers, loaded), lines = _threshold_run(tmp_path, offset)
-    assert workers == pooled * _workers(cells, cli._SWEEP_CHUNK_CELLS) >= 2 * pooled
+    # 3,000 cells make 2 chunks: the one worker formats the second
+    assert workers == pooled * _workers(cells, cli._SWEEP_CHUNK_CELLS) == int(pooled)
     assert loaded is False
     assert len(lines) == 1 + cells
 
@@ -467,6 +466,68 @@ def test_a_killed_worker_is_seen_while_the_others_still_run(deadline):
             list(results)
     # the workers of tasks 0 and 2 would sleep for 60 s; they were killed instead
     assert time.monotonic() - start < 20
+    _assert_no_child_left()
+
+
+def _one_dies_idle_one_sleeps(task):
+    if task == 0:
+        # ends this worker a moment after it returns task 0, as it waits for its next task
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+    elif task == 1:
+        time.sleep(60)
+    return task
+
+
+def _tasks_paused_until_a_worker_ends():
+    yield 0
+    yield 1
+    # the next task goes to the worker of task 0: wait until it has died, without reaping it
+    while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        time.sleep(0.01)
+    yield 2
+
+
+def test_a_worker_that_died_while_idle_fails_the_write_of_its_next_task(deadline):
+    start = time.monotonic()
+    with pytest.raises(WorkerLostError) as info:
+        with ordered_map(_one_dies_idle_one_sleeps, _tasks_paused_until_a_worker_ends(),
+                         2) as results:
+            list(results)
+    assert isinstance(info.value.__context__, BrokenPipeError)  # the task pipe, not a result pipe
+    # the worker of task 1 would sleep for 60 s; it was killed instead
+    assert time.monotonic() - start < 20
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+def test_a_fork_that_fails_raises_and_ends_the_workers_already_started(deadline, monkeypatch):
+    fds = sorted(os.listdir("/proc/self/fd"))
+    error = BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    fork, waitpid = os.fork, os.waitpid
+    forked, reaped = [], []
+
+    def fork_once():
+        if forked:
+            raise error
+        forked.append(fork())
+        return forked[-1]
+
+    def recording_waitpid(pid, options):
+        reaped.append(waitpid(pid, options))
+        return reaped[-1]
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    with pytest.raises(BlockingIOError) as info:
+        with ordered_map(_divide, range(4), 3):
+            pass
+    assert info.value is error
+    # the first worker was killed and reaped, and every pipe of both forks is closed
+    [(pid, status)] = reaped
+    assert pid == forked[0] and os.WIFSIGNALED(status)
+    assert os.WTERMSIG(status) == signal.SIGKILL
+    assert sorted(os.listdir("/proc/self/fd")) == fds
     _assert_no_child_left()
 
 
