@@ -6,7 +6,10 @@ category draws, so the expected next state equals the deterministic one
 and the noise shrinks like ``n**-0.5``.  Replication ``r`` of a run draws
 from the counter-based Philox stream keyed by ``(seed, r)``, which makes
 runs bit-reproducible and replications independent without any shared
-generator state.
+generator state.  At volume ``n`` a stage's target depends only on the
+previous stage's counts, one of ``(n+1)(n+2)/2`` lattice states, so the
+replications of one task share a map from counts to target that stops
+storing at ``_TARGETS_MAX`` entries; a stored target is the same doubles.
 
 Because replication ``r`` depends on nothing but ``(seed, r)``, a large
 run splits each volume's replications into contiguous chunks, one per
@@ -120,19 +123,44 @@ def stochastic_step(params, freq, n, rng):
     return tuple.__new__(SimplexPoint, (c0 / n, c1 / n, c2 / n))
 
 
-def _replicate(rows, init, n, seed, r, steps):
-    """Draw counts of replication ``r``: one triple of ints summing to ``n`` per step."""
-    rng = replication_stream(seed, r)
-    state = init
+# Entries a task's target map holds: past this it stops storing.  An entry (a
+# counts tuple and a 3-element float64 array) is ~320 bytes under tracemalloc,
+# so 4,096 entries are ~1.3 MB, under 5% of the ~35 MiB peak RSS of the LLN
+# table at n = 10..10^4 (400 replications x 200 steps, two 200-replication
+# tasks a volume).  There an unbounded map reached 28,394 entries (~9 MB) at
+# n = 10^4; this one serves 99.8 / 97 / 62 / 8% of stages at n = 10 / 100 /
+# 10^3 / 10^4.
+_TARGETS_MAX = 4096
+
+
+def _replicate(rows, init, n, seed, r, steps, targets):
+    """Draw counts of replication ``r``: one triple of ints summing to ``n`` per step.
+
+    ``targets`` is the task's map from a stage's counts (``None`` for
+    ``init``) to the next stage's clamped target, stored as the float64
+    array the draw would convert it to.  The target is a function of the
+    counts alone, so a stored one gives the same doubles, and the same
+    draws, as computing it again.  A failing target raises before it is
+    stored; once the map is full, a target not in it is drawn from as
+    computed.
+    """
+    from numpy import array
+
+    draw = replication_stream(seed, r).multinomial
     counts = []
+    drawn = None
     for k in range(steps):
-        try:
-            target = _clamped_step(rows, state)
-        except ModelError as exc:
-            raise type(exc)(f"replication {r}, step {k + 1}: {exc}") from exc
-        c0, c1, c2 = rng.multinomial(n, target).tolist()
-        counts.append((c0, c1, c2))
-        state = (c0 / n, c1 / n, c2 / n)
+        pvals = targets.get(drawn)
+        if pvals is None:
+            state = init if drawn is None else (drawn[0] / n, drawn[1] / n, drawn[2] / n)
+            try:
+                pvals = _clamped_step(rows, state)
+            except ModelError as exc:
+                raise type(exc)(f"replication {r}, step {k + 1}: {exc}") from exc
+            if len(targets) < _TARGETS_MAX:
+                pvals = targets[drawn] = array(pvals)
+        drawn = tuple(draw(n, pvals).tolist())
+        counts.append(drawn)
     return counts
 
 
@@ -140,15 +168,17 @@ def _run_chunk(rows, init, seed, steps, ref, task):
     """Results of replications ``start``..``stop - 1`` at volume ``n``, in order.
 
     ``task`` is ``(n, start, stop)``; the arguments before it are the run's,
-    the same for every task.  A replication's result is its counts.  Given
-    the flattened clamped path ``ref`` (stages 1..steps), it is only the
-    replication's largest gap to that path, so the counts are dropped where
-    they were drawn.
+    the same for every task.  The task's replications share one map of
+    clamped targets (:func:`_replicate`).  A replication's result is its
+    counts.  Given the flattened clamped path ``ref`` (stages 1..steps), it
+    is only the replication's largest gap to that path, so the counts are
+    dropped where they were drawn.
     """
     n, start, stop = task
+    targets = {}
     results = []
     for r in range(start, stop):
-        counts = _replicate(rows, init, n, seed, r, steps)
+        counts = _replicate(rows, init, n, seed, r, steps, targets)
         # Stage 0 is ``init`` on both paths, a gap of 0.0: the ``default`` of ``max``.
         results.append(counts if ref is None else max(
             map(abs, map(sub, map(truediv, chain.from_iterable(counts), repeat(n)), ref)),
@@ -185,6 +215,7 @@ def _map_replications(rows, init, volumes, cfg, ref=None):
     parts = min(max(workers, 1), reps)
     tasks = [(n, reps * i // parts, reps * (i + 1) // parts) for n in volumes for i in range(parts)]
     if workers:
+        # the traced benchmark reads this call's span as ``sampling.replication_stream.us``
         replication_stream(seed, 0)  # loads numpy before the fork, once for every worker
     with _pool.ordered_map(partial(_run_chunk, rows, init, seed, steps, ref), tasks,
                            workers) as results:

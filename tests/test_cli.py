@@ -136,27 +136,26 @@ def test_simulate_degenerate_clamp_exit_code(capsys, monkeypatch, tmp_path):
 
 def test_stochastic_degenerate_clamp_names_replication_and_step(capsys, monkeypatch):
     steps = 3
+    cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=steps)
+    trajs = run_replications(DirectingParams(0.1, 0.1, 0.1), (0.5, 0.3, 0.2), cfg)
+    # The failure is chosen by state, not by a count of calls: the replications
+    # of a volume share the targets they compute.  Replication 1 steps from
+    # this state at its step 2, and no stage before that steps from it.
+    poisoned = trajs[1].points[1]
+    assert poisoned not in trajs[0].points[:steps] and poisoned != trajs[1].points[0]
     real_step = ternary_dynamics.sampling._clamped_step
 
-    def fail_at_replication_1_step_2():
-        calls = []
+    def step(rows, state):
+        if tuple(state) == poisoned:
+            raise DegenerateClampError("clamping removed all probability mass")
+        return real_step(rows, state)
 
-        def step(rows, state):
-            calls.append(state)
-            if len(calls) == steps + 2:
-                raise DegenerateClampError("clamping removed all probability mass")
-            return real_step(rows, state)
-
-        monkeypatch.setattr(ternary_dynamics.sampling, "_clamped_step", step)
-
+    monkeypatch.setattr(ternary_dynamics.sampling, "_clamped_step", step)
     message = "replication 1, step 2: clamping removed all probability mass"
-    fail_at_replication_1_step_2()
-    cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=steps)
     with pytest.raises(DegenerateClampError) as info:
         run_replications(DirectingParams(0.1, 0.1, 0.1), (0.5, 0.3, 0.2), cfg)
     assert type(info.value) is DegenerateClampError
     assert str(info.value) == message
-    fail_at_replication_1_step_2()
     code, out, err = run(capsys, "stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2",
                          "--n", "10", "--reps", "2", "--steps", str(steps))
     assert (code, out, err) == (4, "", f"error: {message}\n")

@@ -319,6 +319,72 @@ def test_lln_diagnostic_matches_reference_loop_across_the_cube(params, init, ste
             == _outcome(reference_lln_diagnostic, params, init, volumes, cfg))
 
 
+def _int_counted_replications(params, init, cfg):
+    trajs = run_replications(params, init, cfg)
+    assert all(type(c) is int for traj in trajs for stage in traj.counts for c in stage)
+    return trajs
+
+
+# At volumes up to 30 the lattice has at most 496 states, so most stages
+# reuse a target that an earlier stage of the task stored.
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(params=st.builds(DirectingParams, _unit, _unit, _unit),
+       init=_simplex_inits(),
+       steps=st.integers(0, 30),
+       n=st.integers(1, 30),
+       replications=st.integers(1, 6),
+       seed=st.integers(0, 2**64 - 1))
+@example(params=DirectingParams(-0.2, 0.5, -0.4), init=SimplexPoint(1.0, 0.0, 0.0), steps=10,
+         n=7, replications=3, seed=0)
+@example(params=DirectingParams(-0.1, 0.3, 0.2), init=SimplexPoint(0.5, 0.3, 0.2), steps=30,
+         n=30, replications=6, seed=2**64 - 1)
+def test_run_replications_matches_reference_loop_across_the_cube(params, init, steps, n,
+                                                                 replications, seed):
+    cfg = SampleConfig(sample_volume=n, replications=replications, seed=seed, steps=steps)
+    assert (_outcome(_int_counted_replications, params, init, cfg)
+            == _outcome(reference_run_replications, params, init, cfg))
+
+
+# ------------------------------------------------------- the target map
+#
+# The replications of one task share a map from a stage's counts to the next
+# stage's clamped target, which stops storing at ``_TARGETS_MAX`` entries.
+# Every bound gives the draws of the plain loop.
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+@pytest.mark.parametrize("bound", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 10, 10**6])
+def test_a_bounded_target_map_gives_the_reference_draws(monkeypatch, case, bound, n):
+    monkeypatch.setattr(ternary_dynamics.sampling, "_TARGETS_MAX", bound)
+    params, init = IDENTITY_CASES[case]
+    cfg = SampleConfig(sample_volume=n, replications=4, seed=11, steps=25)
+    assert repr(run_replications(params, init, cfg)) == repr(
+        reference_run_replications(params, init, cfg))
+    assert repr(lln_diagnostic(params, init, [n], cfg)) == repr(
+        reference_lln_diagnostic(params, init, [n], cfg))
+
+
+@pytest.mark.parametrize("bound", [0, 1, 3])
+def test_the_target_map_never_holds_more_than_its_bound(monkeypatch, bound):
+    sampling = ternary_dynamics.sampling
+    monkeypatch.setattr(sampling, "_TARGETS_MAX", bound)
+    sizes = []
+    real = sampling._replicate
+
+    def replicate(*args):
+        counts = real(*args)
+        sizes.append(len(args[-1]))
+        return counts
+
+    monkeypatch.setattr(sampling, "_replicate", replicate)
+    cfg = SampleConfig(sample_volume=10**6, replications=4, seed=11, steps=25)
+    got = sampling._run_chunk(build_regression_matrix(PARAMS), INIT, cfg.seed, cfg.steps, None,
+                              (cfg.sample_volume, 0, cfg.replications))
+    # at n = 10**6 nearly every stage is a new lattice state: the map fills in replication 0
+    assert sizes == [bound] * cfg.replications
+    assert got == [list(t.counts) for t in reference_run_replications(PARAMS, INIT, cfg)]
+
+
 # ---------------------------------------------------------- LLN diagnostic
 
 def test_lln_diagnostic_recovers_deterministic_absorbing_path():
@@ -561,6 +627,56 @@ def test_the_cli_exits_4_with_the_same_error_from_workers(monkeypatch, capsys, v
 
     alone, pooled = _both_paths(monkeypatch, outcome)
     assert alone == pooled == (4, "", f"error: {FAIL_MESSAGE}\n")
+
+
+# At n = 10 replications 4, 5 and 6 of the seed-4 run reach the lattice state
+# (3, 4, 3), first at steps 5, 4 and 4.  With 3 CPUs they share the last chunk.
+SHARED_CFG = SampleConfig(sample_volume=10, replications=7, seed=4, steps=6)
+SHARED_COUNTS = (3, 4, 3)
+SHARED_FIRST_STEP = {4: 5, 5: 4, 6: 4}
+
+
+def test_a_failing_target_is_never_stored(monkeypatch):
+    sampling = ternary_dynamics.sampling
+    trajs = reference_run_replications(PARAMS, INIT, SHARED_CFG)
+    reached = {}
+    for traj in trajs:
+        # stage k's counts are the state that step k + 1 starts from
+        steps = [k + 1 for k, stage in enumerate(traj.counts[:-1], 1) if stage == SHARED_COUNTS]
+        if steps:
+            reached[traj.replication] = steps[0]
+    assert reached == SHARED_FIRST_STEP
+    n = SHARED_CFG.sample_volume
+    poisoned = tuple(c / n for c in SHARED_COUNTS)
+    real_step = sampling._clamped_step
+
+    def step(rows, state):
+        if tuple(state) == poisoned:
+            raise DegenerateClampError("clamping removed all probability mass")
+        return real_step(rows, state)
+
+    monkeypatch.setattr(sampling, "_clamped_step", step)
+    # every replication that reaches the state raises, however many reached it before
+    rows = build_regression_matrix(PARAMS)
+    targets = {}
+    for traj in trajs:
+        r = traj.replication
+        args = (rows, INIT, n, SHARED_CFG.seed, r, SHARED_CFG.steps, targets)
+        if r in reached:
+            with pytest.raises(DegenerateClampError,
+                               match=rf"^replication {r}, step {reached[r]}: clamping"):
+                sampling._replicate(*args)
+        else:
+            assert sampling._replicate(*args) == list(traj.counts)
+    assert SHARED_COUNTS not in targets
+
+    def outcome():
+        with pytest.raises(DegenerateClampError) as info:
+            run_replications(PARAMS, INIT, SHARED_CFG)
+        return str(info.value)
+
+    alone, pooled = _both_paths(monkeypatch, outcome)
+    assert alone == pooled == "replication 4, step 5: clamping removed all probability mass"
 
 
 def test_no_worker_outlives_a_cli_run_into_a_closed_pipe(pooled, monkeypatch):
