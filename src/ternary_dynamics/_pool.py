@@ -4,9 +4,12 @@ The stochastic replications (:mod:`.sampling`) and a large ``sweep``
 (:mod:`.cli`) split their work into tasks whose results depend on nothing
 but the task.  :func:`workers_for` decides, from a size in the caller's own
 units and the caller's measured threshold, whether a run pays for worker
-processes, and :func:`ordered_map` maps a function over the tasks, in forked
-workers or in the calling process.  Results come back in task order either
-way, so the output does not depend on the CPU count.
+processes, and :func:`ordered_map` maps a function over the tasks.  It has
+one shape: the calling process runs the first task itself while the
+workers start, and a worker is forked only for a task that can be handed
+out at once, so a run of one task or none forks nothing.  Results come
+back in task order, workers or not, so the output does not depend on the
+CPU count.
 
 Each worker is forked with ``os.fork`` and talks to the calling process
 over two pipes of its own: it reads a task, writes back the result, and
@@ -19,7 +22,7 @@ and ``select`` are imported only when workers start.
 
 import contextlib
 import os
-from itertools import islice
+from itertools import chain, islice
 
 # Tasks handed out ahead of the result the caller waits for, per worker.
 # Each worker holds one task at a time; the window bounds how many finished
@@ -54,14 +57,14 @@ def _may_fork():
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def workers_for(tasks, size, min_size):
-    """Worker processes for a run of ``tasks`` tasks, or 0 to run them in this process.
+def workers_for(size, min_size):
+    """Worker processes a run may fork, or 0 to run every task in this process.
 
-    A run of at least ``min_size`` (in the units of ``size``) with two or
-    more tasks, in a process that may use several CPUs and runs no other
-    thread, gets one worker per CPU, at most one per task.
+    A run of at least ``min_size`` (in the units of ``size``), in a process
+    that may use several CPUs and runs no other thread, may fork one worker
+    per CPU; :func:`ordered_map` forks no more than it has tasks for.
     """
-    workers = min(_usable_cpus(), tasks)
+    workers = _usable_cpus()
     if workers < 2 or size < min_size or not _may_fork():
         return 0
     return workers
@@ -151,26 +154,28 @@ def _fork(fn, workers):
 
 
 @contextlib.contextmanager
-def ordered_map(fn, tasks, workers, here=0):
+def ordered_map(fn, tasks, workers):
     """Context giving an iterator of ``fn(task)`` for every task, in task order.
 
-    With ``workers`` 0 every task runs in this process as the iterator
-    reaches it.  Otherwise ``workers`` processes are forked on entry, before
-    the caller writes anything, and run the tasks, a few ahead of the
-    caller; the first ``here`` tasks run in this process while the workers
-    start.  The first error in task order is raised with its type and
-    message, and a worker that dies raises :class:`WorkerLostError`.  No
-    worker is left once the block exits, however it exits.
+    This process runs the first task itself.  Up to ``workers`` processes
+    are forked on entry, before the caller writes anything, one for each
+    task after the first among the first ``workers + 1``, and run the other
+    tasks, a few ahead of the caller, while this process runs the first.
+    With ``workers`` 0, or one task or none, nothing is forked and every
+    task runs in this process as the iterator reaches it.  The first error
+    in task order is raised with its type and message, and a worker that
+    dies raises :class:`WorkerLostError`.  No worker is left once the block
+    exits, however it exits.
     """
-    if not workers:
-        yield map(fn, tasks)
+    tasks = iter(tasks)
+    first = list(islice(tasks, workers + 1))
+    if len(first) < 2:
+        yield map(fn, chain(first, tasks))
         return
     import gc
     import pickle  # here, before the forks, rather than once in every worker
     import signal
 
-    tasks = iter(tasks)
-    local = list(islice(tasks, here))
     started = []
     # A frozen object is left out of every collection, so the workers'
     # collections do not copy the pages they share with this process.  A
@@ -179,9 +184,9 @@ def ordered_map(fn, tasks, workers, here=0):
     try:
         if freeze:
             gc.freeze()
-        for _ in range(workers):
+        for _ in first[1:]:
             _fork(fn, started)
-        yield _results(fn, local, tasks, started)
+        yield _results(fn, first[:1], chain(first[1:], tasks), started)
     finally:
         for pid, task_write, result_read in started:
             os.kill(pid, signal.SIGKILL)
@@ -194,7 +199,7 @@ def ordered_map(fn, tasks, workers, here=0):
 
 
 def _results(fn, local, tasks, workers):
-    """``fn`` of the ``local`` tasks, here, then of ``tasks``, on the forked ``workers``."""
+    """``fn`` of the ``local`` task here while the ``workers`` start, then of ``tasks`` on them."""
     import select
 
     ahead = _AHEAD_PER_WORKER * len(workers)
@@ -209,7 +214,7 @@ def _results(fn, local, tasks, workers):
                 raise _lost() from None
             busy[worker[2]] = worker, sent
             sent += 1
-        if local:  # this process's share, while the workers run the first tasks
+        if local:  # this process's task, while the workers run the next ones
             yield from map(fn, local)
             local = ()
         if index == sent:

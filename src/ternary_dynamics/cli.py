@@ -311,7 +311,9 @@ def _cmd_classify(args):
 
 
 # A sweep runs in chunks of cells, each returned as text: in the calling
-# process below its threshold, on forked workers from it on.  On a 2-vCPU
+# process below its threshold; from it on, the calling process formats the
+# first chunk and forked workers the rest, one per CPU but no more than the
+# chunks after the first (_pool.ordered_map).  On a 2-vCPU
 # host (fresh interpreters, alternating pairs of cli.main calls per grid,
 # in-process -> pooled medians), classify-only sweeps in 2,000-cell chunks
 # lost in the workers at 2,197 cells (JSON 44 -> 54 ms, 0 pairs of 11
@@ -361,17 +363,14 @@ def _cmd_sweep(args):
         size, min_cells = _SIMULATE_CHUNK_CELLS, _SIMULATE_POOL_MIN_CELLS
     else:
         size, min_cells = _SWEEP_CHUNK_CELLS, _SWEEP_POOL_MIN_CELLS
-    # this process formats the first chunk itself while the workers start, so the
-    # workers are one per chunk after it at most: none for a grid of one chunk or none
-    chunk_count = -(-count // size)
-    workers = min(_pool.workers_for(chunk_count, count, min_cells), max(chunk_count - 1, 0))
+    workers = _pool.workers_for(count, min_cells)
     chunks = iter(lambda: list(itertools.islice(cells, size)), [])
 
     def write(out):
         # _sweep_text is bound as the run starts, not on import; the workers get the binding
         # with the fork, so each task is just a chunk's cells
         text = functools.partial(_sweep_text, settings, body)
-        with _pool.ordered_map(text, chunks, workers, here=1) as texts:
+        with _pool.ordered_map(text, chunks, workers) as texts:
             emit(out, header, texts)
 
     return write

@@ -12,18 +12,19 @@ replications of one task share a map from counts to target that stops
 storing at ``_TARGETS_MAX`` entries; a stored target is the same doubles.
 
 Because replication ``r`` depends on nothing but ``(seed, r)``, a large
-run splits each volume's replications into contiguous chunks, one per
-worker process, and runs them in workers forked one per CPU the process
-may use (:func:`._pool.workers_for`).  The output is the same bits
-for any CPU count, and there is no option for it: a process that may use
-one CPU or runs other threads, or a run too small to pay for starting the
-workers, runs every replication in the calling process.
+run splits each volume's replications into contiguous chunks, one per CPU
+the process may use (:func:`._pool.workers_for`).  The calling process runs
+the first chunk itself and forked workers run the rest, one worker per
+chunk after the first at most (:func:`._pool.ordered_map`).  The output is
+the same bits for any CPU count, and there is no option for it: a process
+that may use one CPU or runs other threads, or a run too small to pay for
+starting the workers, runs every replication in the calling process.
 
 numpy is needed only here, and is imported on the first draw
 (:func:`replication_stream`), not with the package: ``import
 ternary_dynamics`` and the deterministic commands never load it.  A
-pooled run makes one draw before it forks its workers (:mod:`._pool`), so
-numpy is imported once, not once in every worker.
+pooled run imports ``numpy.random`` before it forks its workers
+(:mod:`._pool`), so numpy is imported once, not once in every worker.
 """
 
 from collections import namedtuple
@@ -200,23 +201,23 @@ _POOL_MIN_STAGES = 15_000
 def _map_replications(rows, init, volumes, cfg, ref=None):
     """Per volume, the :func:`_run_chunk` result of every replication, in replication order.
 
-    A run of at least ``_POOL_MIN_STAGES`` stages runs them in forked
-    workers when :func:`._pool.workers_for` allows it, each volume's
-    replications split into contiguous chunks, one per worker; any other
-    run, in this process, a volume at a time.  Either way the first error in
-    replication order is raised with its type and message, and no worker is
-    left when this returns.  A task is ``(n, start, stop)``: the rest of
+    A run of at least ``_POOL_MIN_STAGES`` stages, when
+    :func:`._pool.workers_for` allows it, splits each volume's replications
+    into contiguous chunks, one per CPU; this process runs the first chunk
+    and forked workers the rest.  Any other run goes in this process, a
+    volume at a time.  Either way the first error in replication order is
+    raised with its type and message, and no worker is left when this
+    returns.  A task is ``(n, start, stop)``: the rest of
     :func:`_run_chunk`'s arguments are bound once, and reach the workers
     with the fork.
     """
     reps, steps, seed = cfg.replications, cfg.steps, cfg.seed
-    workers = _pool.workers_for(reps * len(volumes), reps * steps * len(volumes), _POOL_MIN_STAGES)
-    # one chunk a worker, or the whole volume in this process; no chunk is empty
+    workers = _pool.workers_for(reps * steps * len(volumes), _POOL_MIN_STAGES)
+    # one chunk a CPU, or the whole volume in this process; no chunk is empty
     parts = min(max(workers, 1), reps)
     tasks = [(n, reps * i // parts, reps * (i + 1) // parts) for n in volumes for i in range(parts)]
     if workers:
-        # the traced benchmark reads this call's span as ``sampling.replication_stream.us``
-        replication_stream(seed, 0)  # loads numpy before the fork, once for every worker
+        import numpy.random  # before the fork, once for every worker
     with _pool.ordered_map(partial(_run_chunk, rows, init, seed, steps, ref), tasks,
                            workers) as results:
         chunks = list(results)

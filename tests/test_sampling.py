@@ -1,4 +1,5 @@
 import io
+import os
 import statistics
 import sys
 import threading
@@ -463,9 +464,10 @@ def test_deviation_table_serialization_round():
 # -------------------------------------------------------- worker processes
 #
 # A run of at least ``_POOL_MIN_STAGES`` stages in a process that may use
-# several CPUs runs its replications in forked workers.  The fixtures below
-# choose the path whatever the host.  ``pooled`` lowers the stage threshold
-# to 0 and reports 3 CPUs, so 5 or 7 replications split into uneven chunks;
+# several CPUs runs its first chunk of replications in the calling process
+# and the other chunks in forked workers.  The fixtures below choose the
+# path whatever the host.  ``pooled`` lowers the stage threshold to 0 and
+# reports 3 CPUs, so 5 or 7 replications split into uneven chunks;
 # ``_both_paths`` also reports 1 CPU for an in-process run.  Both record the
 # workers that ``_pool._fork`` starts, pool by pool, so a test can tell
 # whether a pool ran and how many workers it had.
@@ -482,11 +484,13 @@ def pooled(monkeypatch):
     return _recording_pools(monkeypatch)
 
 
-def _both_paths(monkeypatch, call):
+def _both_paths(monkeypatch, call, volumes, replications):
     """``call()`` in this process, then in a pool of forked workers.
 
-    Returns both results and checks that exactly the second call started a
-    pool, and that no worker outlives either call.
+    ``call`` runs ``replications`` replications at each of ``volumes``
+    volumes.  Returns both results and checks that exactly the second call
+    started a pool, of one worker per chunk after the first, and that no
+    worker outlives either call.
     """
     started = _recording_pools(monkeypatch)
     with monkeypatch.context() as m:
@@ -497,8 +501,10 @@ def _both_paths(monkeypatch, call):
     with monkeypatch.context() as m:
         _force_pool(m)
         pooled = call()
-    # one pool, of 2 workers (a run of 2 chunks) or 3 (one per reported CPU)
-    assert len(started) == 1 and started[0] in (2, 3)
+    # a volume's replications in one chunk per reported CPU, at most one per replication;
+    # this process runs the first chunk, and a worker each of the next 3 at most
+    chunks = volumes * min(3, replications)
+    assert started == [min(3, chunks - 1)]
     _assert_no_child_left()
     return alone, pooled
 
@@ -511,7 +517,8 @@ def test_run_replications_in_workers_matches_in_process_and_reference(monkeypatc
                                                                        steps, replications):
     params, init = IDENTITY_CASES[case]
     cfg = SampleConfig(sample_volume=10, replications=replications, seed=seed, steps=steps)
-    alone, pooled = _both_paths(monkeypatch, lambda: run_replications(params, init, cfg))
+    alone, pooled = _both_paths(monkeypatch, lambda: run_replications(params, init, cfg), 1,
+                                 replications)
     assert repr(pooled) == repr(alone) == repr(reference_run_replications(params, init, cfg))
 
 
@@ -525,9 +532,39 @@ def test_lln_diagnostic_in_workers_matches_in_process_and_reference(monkeypatch,
                                                                     volumes, replications):
     params, init = IDENTITY_CASES[case]
     cfg = SampleConfig(sample_volume=1, replications=replications, seed=seed, steps=steps)
-    alone, pooled = _both_paths(monkeypatch, lambda: lln_diagnostic(params, init, volumes, cfg))
+    alone, pooled = _both_paths(monkeypatch, lambda: lln_diagnostic(params, init, volumes, cfg),
+                                 len(volumes), replications)
     assert repr(pooled) == repr(alone) == repr(
         reference_lln_diagnostic(params, init, volumes, cfg))
+
+
+def test_a_pooled_run_draws_its_first_chunk_here_and_every_other_chunk_in_a_worker(
+        pooled, monkeypatch, tmp_path):
+    log = tmp_path / "chunks.log"
+    real = ternary_dynamics.sampling._run_chunk
+
+    def recording(*args):
+        with open(log, "a", encoding="utf-8") as out:
+            n, start, stop = args[-1]  # the task
+            out.write(f"{n} {start} {stop} {os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(ternary_dynamics.sampling, "_run_chunk", recording)
+    cfg = SampleConfig(sample_volume=1, replications=7, seed=3, steps=5)
+    assert lln_diagnostic(PARAMS, INIT, [10, 100], cfg) == reference_lln_diagnostic(
+        PARAMS, INIT, [10, 100], cfg)
+    assert pooled == [3]  # 6 chunks: the first here, a worker each for the next 3
+    _assert_no_child_left()
+    ran = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        n, start, stop, pid = map(int, line.split())
+        ran[n, start, stop] = pid
+    # 7 replications in 3 chunks a volume, each run once
+    assert sorted(ran) == [(n, start, stop) for n in (10, 100)
+                           for start, stop in ((0, 2), (2, 4), (4, 7))]
+    here = [task for task, pid in ran.items() if pid == os.getpid()]
+    assert here == [(10, 0, 2)]
+    assert len(set(ran.values()) - {os.getpid()}) == 3
 
 
 def test_a_one_chunk_run_stays_in_process(pooled):
@@ -612,7 +649,7 @@ def test_the_lowest_failing_replication_raises_in_workers_as_in_process(monkeypa
                 lln_diagnostic(PARAMS, INIT, volumes, FAIL_CFG)
         return type(info.value), str(info.value)
 
-    alone, pooled = _both_paths(monkeypatch, outcome)
+    alone, pooled = _both_paths(monkeypatch, outcome, len(volumes), FAIL_CFG.replications)
     assert alone == pooled == (DegenerateClampError, FAIL_MESSAGE)
 
 
@@ -625,7 +662,7 @@ def test_the_cli_exits_4_with_the_same_error_from_workers(monkeypatch, capsys, v
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    alone, pooled = _both_paths(monkeypatch, outcome)
+    alone, pooled = _both_paths(monkeypatch, outcome, len(volumes.split(",")), 7)
     assert alone == pooled == (4, "", f"error: {FAIL_MESSAGE}\n")
 
 
@@ -675,7 +712,7 @@ def test_a_failing_target_is_never_stored(monkeypatch):
             run_replications(PARAMS, INIT, SHARED_CFG)
         return str(info.value)
 
-    alone, pooled = _both_paths(monkeypatch, outcome)
+    alone, pooled = _both_paths(monkeypatch, outcome, 1, SHARED_CFG.replications)
     assert alone == pooled == "replication 4, step 5: clamping removed all probability mass"
 
 

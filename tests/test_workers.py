@@ -414,7 +414,7 @@ def _large(task):
 
 
 def test_a_result_over_1_mib_comes_back_intact(deadline):
-    with ordered_map(_large, range(5), 2, here=1) as results:
+    with ordered_map(_large, range(5), 2) as results:
         got = list(results)
     assert got == [_large(task) for task in range(5)]
     assert len(got[0]) > 1 << 20
@@ -454,6 +454,8 @@ def test_a_worker_error_reaches_the_caller_with_its_type_and_message(deadline):
 
 
 def _one_dies_two_sleep(task):
+    if task == 0:  # the task this process runs
+        return
     if task == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     time.sleep(60)
@@ -462,30 +464,32 @@ def _one_dies_two_sleep(task):
 def test_a_killed_worker_is_seen_while_the_others_still_run(deadline):
     start = time.monotonic()
     with pytest.raises(WorkerLostError):
-        with ordered_map(_one_dies_two_sleep, range(3), 3) as results:
+        with ordered_map(_one_dies_two_sleep, range(4), 3) as results:
             list(results)
-    # the workers of tasks 0 and 2 would sleep for 60 s; they were killed instead
+    # the workers of tasks 2 and 3 would sleep for 60 s; they were killed instead
     assert time.monotonic() - start < 20
     _assert_no_child_left()
 
 
 def _one_dies_idle_one_sleeps(task):
-    if task == 0:
-        # ends this worker a moment after it returns task 0, as it waits for its next task
+    if task == 1:
+        # ends this worker a moment after it returns task 1, as it waits for its next task
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
         signal.setitimer(signal.ITIMER_REAL, 0.05)
-    elif task == 1:
+    elif task == 2:
         time.sleep(60)
-    return task
+    return task  # task 0 runs in this process and returns at once
 
 
 def _tasks_paused_until_a_worker_ends():
+    # the pool takes the first 3 tasks (2 workers and this process) before it forks
     yield 0
     yield 1
-    # the next task goes to the worker of task 0: wait until it has died, without reaping it
+    yield 2
+    # the next task goes to the worker of task 1: wait until it has died, without reaping it
     while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
         time.sleep(0.01)
-    yield 2
+    yield 3
 
 
 def test_a_worker_that_died_while_idle_fails_the_write_of_its_next_task(deadline):
@@ -495,7 +499,7 @@ def test_a_worker_that_died_while_idle_fails_the_write_of_its_next_task(deadline
                          2) as results:
             list(results)
     assert isinstance(info.value.__context__, BrokenPipeError)  # the task pipe, not a result pipe
-    # the worker of task 1 would sleep for 60 s; it was killed instead
+    # the worker of task 2 would sleep for 60 s; it was killed instead
     assert time.monotonic() - start < 20
     _assert_no_child_left()
 
@@ -532,13 +536,26 @@ def test_a_fork_that_fails_raises_and_ends_the_workers_already_started(deadline,
 
 
 def _sigint_ignored(task):
-    return signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    return os.getpid(), signal.getsignal(signal.SIGINT) is signal.SIG_IGN
 
 
 def test_workers_ignore_sigint(deadline):
     with ordered_map(_sigint_ignored, range(4), 2) as results:
-        assert list(results) == [True] * 4
+        got = list(results)
+    # task 0 ran in this process, which keeps its own handler; tasks 1-3 ran in the workers
+    assert got[0] == (os.getpid(), False)
+    assert [ignored for pid, ignored in got[1:] if pid != os.getpid()] == [True] * 3
     assert signal.getsignal(signal.SIGINT) is not signal.SIG_IGN
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("tasks", [[], [5]], ids=["none", "one"])
+def test_a_run_of_one_task_or_none_forks_no_worker(monkeypatch, tasks):
+    started = _recording_pools(monkeypatch)
+    with ordered_map(_sigint_ignored, tasks, 3) as results:
+        got = list(results)
+    assert got == [(os.getpid(), False)] * len(tasks)  # run here, if at all
+    assert started == []
     _assert_no_child_left()
 
 
