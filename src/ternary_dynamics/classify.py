@@ -35,6 +35,8 @@ from .core import (
 
 BOUNDARY_TOL = 1e-12
 DEFAULT_WINDOW = 10
+# Brent's span in estimate_limit stops doubling here; a longer period is not skipped.
+_CYCLE_SPAN = 16
 
 
 class BoundaryCaseError(ModelError):
@@ -167,7 +169,11 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     ``(max_steps - k) % L`` steps needed to read off the final state and
     increment are taken.  The result is identical to stepping to the end;
     in particular ``steps_used`` still reports ``max_steps``.  A cycle with
-    a step within ``tol`` keeps the normal loop.
+    a step within ``tol`` keeps the normal loop.  Brent's span doubles only
+    up to 16 steps and then moves every 16 steps, so a cycle of period
+    ``L <= 16`` is seen within ``16 + L`` steps of the orbit's first exact
+    repeat.  A longer period is not skipped: it steps to ``max_steps``,
+    with the same result.
     """
     coordinate = _check_coordinate(coordinate)
     max_steps, window = _check_limit_settings(tol, max_steps, window)
@@ -177,15 +183,17 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     last_quiet = 0  # last step whose increment was within tol
     delta = float("inf")
     # Brent: ``saved`` is the state ``lam`` steps back; it jumps forward
-    # whenever ``lam`` reaches ``power``, and ``power`` doubles.
+    # whenever ``lam`` reaches ``power``, and ``power`` doubles up to _CYCLE_SPAN.
     saved = state
     power = lam = 1
+    a, b, c = state
     k = 0
     while k < max_steps:
         k += 1
-        nxt = _clamped_step(rows, state)
-        delta = max(abs(nxt[0] - state[0]), abs(nxt[1] - state[1]), abs(nxt[2] - state[2]))
-        state = nxt
+        state = _clamped_step(rows, state)
+        x, y, z = state
+        delta = max(abs(x - a), abs(y - b), abs(z - c))
+        a, b, c = x, y, z
         if delta == 0.0:
             return LimitEstimate(state[coordinate], True, k, delta)
         if delta <= tol:
@@ -200,7 +208,7 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
                 k = max_steps - (max_steps - k) % lam
         elif lam == power:
             saved = state
-            power *= 2
+            power = min(2 * power, _CYCLE_SPAN)
             lam = 0
         lam += 1
     return LimitEstimate(state[coordinate], False, max_steps, delta)

@@ -3,17 +3,23 @@
 The exact-cycle shortcut in ``estimate_limit`` may skip steps but never
 change a result: every field of the returned ``LimitEstimate`` (checked
 through ``repr``) and every ``DegenerateClampError`` must match a plain
-loop over the same clamped step.
+loop over the same clamped step, whatever Brent's span cap
+(``_CYCLE_SPAN``) is.  The cap only decides how soon a cycle is seen, and
+so how many clamped steps are taken; those counts are pinned here.
 """
 
+import functools
 import importlib
+import itertools
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternary_dynamics import DegenerateClampError, DirectingParams, SimplexPoint, estimate_limit
+from ternary_dynamics import (DegenerateClampError, DirectingParams, SimplexPoint, estimate_limit,
+                              sweep)
+from ternary_dynamics.cli import _axis
 from ternary_dynamics.core import _clamped_step, build_regression_matrix
 
 CLASSIFY = importlib.import_module("ternary_dynamics.classify")
@@ -39,6 +45,17 @@ def plain_estimate(params, init, coordinate, tol, max_steps, window):
     return state[coordinate], False, max_steps, delta
 
 
+class StepCounter:
+    """``_clamped_step`` that counts its calls, to patch into ``classify``."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __call__(self, rows, p):
+        self.steps += 1
+        return _clamped_step(rows, p)
+
+
 def outcomes(v, init, coordinate, tol, max_steps, window):
     """``((fields, steps taken), fields)`` of ``estimate_limit`` and of the plain loop.
 
@@ -46,15 +63,9 @@ def outcomes(v, init, coordinate, tol, max_steps, window):
     name of the ``DegenerateClampError`` raised.
     """
     params = DirectingParams(*v)
-    steps = 0
-
-    def counted_step(rows, p):
-        nonlocal steps
-        steps += 1
-        return _clamped_step(rows, p)
-
+    counter = StepCounter()
     try:
-        with mock.patch.object(CLASSIFY, "_clamped_step", counted_step):
+        with mock.patch.object(CLASSIFY, "_clamped_step", counter):
             est = estimate_limit(params, init, coordinate, tol=tol, max_steps=max_steps,
                                  window=window)
         fast = tuple(map(repr, (est.value, est.converged, est.steps_used, est.terminal_delta)))
@@ -65,7 +76,7 @@ def outcomes(v, init, coordinate, tol, max_steps, window):
                                                window)))
     except DegenerateClampError:
         plain = "DegenerateClampError"
-    return (fast, steps), plain
+    return (fast, counter.steps), plain
 
 
 # Grid values reach the exact cycles of the reference grids; free floats
@@ -99,9 +110,44 @@ def test_estimate_limit_matches_plain_stepping(v, init, coordinate, max_steps, t
     assert steps <= max_steps
 
 
+@pytest.mark.parametrize("span", [1, 2, 16, 2**62])
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    v=st.tuples(component, component, component),
+    init=st.one_of(st.just(REFERENCE_INIT), interior_points()),
+    coordinate=st.integers(0, 2),
+    max_steps=st.integers(1, 3000),
+    tol=st.one_of(st.sampled_from([1e-10, 1e-6, 0.05, 0.3, 0.5]), st.floats(1e-12, 1.0)),
+    window=st.integers(1, 20),
+)
+def test_cycle_span_changes_only_speed(span, v, init, coordinate, max_steps, tol, window):
+    # span 1 never sees a cycle, 2 sees only period 2, and 2**62 doubles without a cap
+    with mock.patch.object(CLASSIFY, "_CYCLE_SPAN", span):
+        (fast, steps), plain = outcomes(v, init, coordinate, tol, max_steps, window)
+    assert fast == plain
+    assert steps <= max_steps
+
+
+@functools.cache
+def first_repeat(cell):
+    """``(step, period)`` of the first state of the plain orbit from REFERENCE_INIT seen before."""
+    rows = build_regression_matrix(DirectingParams(*cell))
+    state = (REFERENCE_INIT.p0, REFERENCE_INIT.p1, REFERENCE_INIT.p2)
+    seen = {state: 0}
+    for k in itertools.count(1):
+        state = _clamped_step(rows, state)
+        if state in seen:
+            return k, k - seen[state]
+        seen[state] = k
+
+
+# The step at which estimate_limit first sees each cell's cycle from REFERENCE_INIT
+SIGHTING = dict(zip(PERIOD_4_CELLS + SLOW_PERIOD_2_CELLS, (51, 51, 2945, 2865)))
 NEAR_FIRST_SIGHTING = (
-    [(cell, n) for cell in PERIOD_4_CELLS for n in (66, 67, 68, 69, 70, 71, 1001, 1002)]
-    + [(cell, n) for cell in SLOW_PERIOD_2_CELLS for n in (4096, 4097, 4098, 4099)]
+    [(cell, n) for cell in PERIOD_4_CELLS
+     for n in (50, 51, 52, 53, 66, 67, 68, 69, 70, 71, 1001, 1002)]
+    + [(cell, n) for cell in SLOW_PERIOD_2_CELLS
+       for n in (2864, 2865, 2866, 2867, 2944, 2945, 2946, 2947, 4096, 4097, 4098, 4099)]
 )
 
 
@@ -110,10 +156,35 @@ def test_cycle_found_at_or_near_max_steps(cell, max_steps):
     (fast, steps), plain = outcomes(cell, REFERENCE_INIT, 0, 1e-10, max_steps, 10)
     assert fast == plain
     assert plain[1:3] == ("False", repr(max_steps))
-    # Brent first sees the cycle at step 67 (period 4) or 4097 (period 2), then
-    # steps only as far as the phase of max_steps within the cycle
-    first_seen, period = (67, 4) if cell in PERIOD_4_CELLS else (4097, 2)
-    assert steps == min(max_steps, first_seen + (max_steps - first_seen) % period)
+    # Brent sees the cycle at most _CYCLE_SPAN + period steps after the orbit
+    # first repeats a state, then steps only as far as the phase of max_steps
+    # within the cycle
+    repeat, period = first_repeat(cell)
+    assert period == (4 if cell in PERIOD_4_CELLS else 2)
+    sighted = SIGHTING[cell]
+    assert repeat <= sighted <= repeat + CLASSIFY._CYCLE_SPAN + period
+    assert steps == min(max_steps, sighted + (max_steps - sighted) % period)
+
+
+@pytest.mark.parametrize("axis, steps", [
+    ("-0.9:0.9:0.18", 26826),  # the benchmark's 11^3 grid; 31,194 with an uncapped span
+    ("-0.9:0.9:0.09", 178319),  # ROADMAP's 21^3 grid; 190,043 with an uncapped span
+])
+def test_sweep_clamped_step_count(axis, steps):
+    values = _axis(axis)
+    counter = StepCounter()
+    with mock.patch.object(CLASSIFY, "_clamped_step", counter):
+        sweep(itertools.product(values, values, values), 0, REFERENCE_INIT, simulate=True)
+    assert counter.steps == steps
+
+
+@pytest.mark.parametrize("cell", SLOW_PERIOD_2_CELLS)
+def test_slow_cycle_steps_do_not_grow_with_max_steps(cell):
+    counter = StepCounter()
+    with mock.patch.object(CLASSIFY, "_clamped_step", counter):
+        est = estimate_limit(DirectingParams(*cell), REFERENCE_INIT, 0, max_steps=10**9)
+    assert (est.converged, est.steps_used) == (False, 10**9)
+    assert counter.steps <= 2950
 
 
 @pytest.mark.parametrize("cell, tol, window, converged", [

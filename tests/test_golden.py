@@ -7,8 +7,8 @@ real stdout stream is checked.  The cycle cases cover
 period-4 orbits (``0.18,0.9,0.54`` and ``0.9,0.36,0.54``, locked in after
 ~35 steps) and slow period-2 orbits (``0.72,0.72,0.9`` and
 ``0.9,0.72,0.72``, locked in after ~2,900 steps) at several ``--max-steps``
-of each parity, including 4097, where the cycle is first seen on the last
-step (CSV only for these).
+of each parity, including 51, 2865 and 2945, where ``estimate_limit``
+first sees a cell's cycle on the last step (CSV only for these).
 
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -60,10 +60,10 @@ CASES = {
 FORMATS = ("csv", "json")
 GOLDEN = [(name, fmt) for name in CASES for fmt in FORMATS]
 
-# Both parities of --max-steps, before, at and after the step where the
-# slow period-2 cycles are first seen; CSV only, the JSON emitter is
-# covered above.
-for _steps in (2901, 4097, 4098, 6001, 6002, 6003):
+# Both parities of --max-steps, at and after the steps where the period-4
+# cycles (51) and the slow period-2 cycles (2865, 2945) are first seen, and
+# before and after those; CSV only, the JSON emitter is covered above.
+for _steps in (51, 52, 2865, 2866, 2901, 2945, 2946, 4097, 4098, 6001, 6002, 6003):
     CASES[f"sweep_cycles_max{_steps}"] = [
         "sweep", *CYCLE_CELLS, "--m", "0", *INIT, "--simulate", "--max-steps", str(_steps)
     ]
