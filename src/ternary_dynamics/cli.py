@@ -4,12 +4,12 @@ Subcommands: ``equilibrium``, ``simulate``, ``classify``, ``sweep``,
 ``stochastic``.  Data goes to stdout (or ``--output PATH``, written
 atomically via a temp file) in CSV or JSON; diagnostics go to stderr so
 pipelines stay clean.  Each command checks all of its input, then returns
-a one-argument writer that passes its header and rows to
-``serialize.write_table``, so a run with bad input writes no data.  Every
-command but ``sweep`` also computes all of its rows first; a ``sweep``
-formats chunks of rows, here or in forked workers, while its chunk writer
-(``serialize.sweep_to_csv`` or ``sweep_to_json``) writes them in order
-under the header that ``_cmd_sweep`` gives it.
+a one-argument writer, so a run with bad input writes no data.  Every
+command but ``sweep`` also computes all of its rows first and passes its
+header and rows to ``serialize.write_table``; a ``sweep`` formats chunks of
+rows, here or in forked workers, with the ``body`` that
+``serialize.table_format`` gives, whose ``frame`` writes them in order
+under the header ``_cmd_sweep`` picks.  ``serialize`` alone decides the format.
 Exit codes: 0 success, 1 a worker process died, 2 invalid input,
 3 no equilibrium, 4 degenerate clamp, 5 boundary classification.
 
@@ -356,9 +356,7 @@ def _cmd_sweep(args):
     # every setting is checked here, so that a pooled sweep fails before its first byte
     _check_sweep_settings(args.m, settings["init"], args.tol, args.max_steps, args.agreement_tol)
     header = serialize.SWEEP_HEADER
-    as_json = args.format == "json"
-    body = functools.partial(serialize.json_body, header) if as_json else serialize.csv_body
-    emit = serialize.sweep_to_json if as_json else serialize.sweep_to_csv
+    body, frame = serialize.table_format(args.format, header)
     if args.simulate:
         size, min_cells = _SIMULATE_CHUNK_CELLS, _SIMULATE_POOL_MIN_CELLS
     else:
@@ -371,7 +369,7 @@ def _cmd_sweep(args):
         # with the fork, so each task is just a chunk's cells
         text = functools.partial(_sweep_text, settings, body)
         with _pool.ordered_map(text, chunks, workers) as texts:
-            emit(out, header, texts)
+            frame(out, header, texts)
 
     return write
 

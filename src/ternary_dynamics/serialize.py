@@ -5,23 +5,22 @@ same double, so emitted files round-trip losslessly and identical runs
 produce byte-identical output.  CSV uses comma separators, ``\\n`` line
 endings and minimal quoting; JSON mirrors each table as a list of objects
 keyed by the column names.  Every table is a header plus rows (the records
-themselves, or those of the row builder beside its header), written by
-:func:`write_table` through :func:`csv_text` or :func:`json_text` to an open
-text stream, one row at a time as it is formatted; no writer builds or
-returns the document.  :func:`csv_body` and :func:`json_body` format a
-run of rows without the header or the list's brackets.  The chunk writers
-:func:`sweep_to_csv` and :func:`sweep_to_json` take a header and such
-texts, and frame them as :func:`csv_text` and :func:`json_text` frame
-their rows, so a table formatted in chunks, in other processes too, has
-the bytes of one pass; a ``sweep`` writes through them, and the
-benchmark's traced runs time its writes by those names.  A
-tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in JSON.
-Within one call, a repeated float (a sweep's axis values) is formatted
-once, from a bounded map.
+themselves, or those of the row builder beside its header), and every one
+takes one path to an open text stream: :func:`csv_body` or
+:func:`json_body` formats a chunk of rows as one string, and the chunk
+writer :func:`sweep_to_csv` or :func:`sweep_to_json` frames the chunks in
+order under the header (:func:`table_format` picks the pair).
+:func:`write_table` cuts its rows into chunks; a ``sweep`` formats its own,
+in other processes too.  No writer builds or returns the document.  A
+tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in
+JSON.  Within one chunk, a repeated float is formatted once, from a
+bounded map.
 """
 
 import csv
+import functools
 import io
+import itertools
 import math
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -29,11 +28,12 @@ from .classify import SweepRow
 
 _float_repr = float.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Entries a writer call's float-text map holds before it starts over.  A 2,000-row chunk
+# Entries a chunk's float-text map holds before it starts over.  A 2,000-row chunk
 # of the 41^3 grid has at most 2,921 distinct nonzero finite floats, so a pooled chunk
 # never starts over; at ~100 bytes an entry the map stays near 0.4 MB, where 16,384
 # entries (~1.7 MB) would exceed 5% of a 22 MiB run.  1,024 to 16,384 timed alike.
 _FLOAT_TEXTS_MAX = 4096
+_CHUNK_ROWS = 2000  # rows write_table formats as one string, as a classify-only sweep does
 
 
 def format_float(value):
@@ -41,7 +41,7 @@ def format_float(value):
 
 
 def _float_text(texts, value, nonfinite=None):
-    """The text of ``value``, kept in one writer call's map ``texts`` when nonzero and finite.
+    """The text of ``value``, kept in one chunk's map ``texts`` when nonzero and finite.
 
     ``texts`` is emptied at ``_FLOAT_TEXTS_MAX`` entries.  Zeros are not
     kept, so ``0.0`` and ``-0.0`` (equal keys) never share a text; a NaN or
@@ -71,29 +71,22 @@ def _cell(value):
 
 
 def _csv_rows(rows):
-    """The cells :func:`csv_text` writes for each row, as a list of strings."""
+    """The cells of each row as CSV writes them, as a list of strings."""
     floats = {}
     for row in rows:
         yield [(floats.get(v) or _float_text(floats, v)) if type(v) is float else _cell(v)
                for v in row]
 
 
-def csv_text(out, header, rows):
-    """Write ``header`` and ``rows`` as CSV."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(_csv_rows(rows))
-
-
 def csv_body(rows):
-    """The lines :func:`csv_text` writes for ``rows`` after the header, as one string."""
+    """The lines of ``rows`` in a CSV table, after its header, as one string."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(_csv_rows(rows))
     return buf.getvalue()
 
 
 def _json_objects(header, rows, pad):
-    """The object :func:`json_text` writes for each row, one string each, indented by ``pad``."""
+    """The JSON object of each row, keyed by ``header``, one string each, indented by ``pad``."""
     fields = ",".join(f"\n{pad}  " + _json_str(key).replace("%", "%%") + ": %s" for key in header)
     template = "{" + fields + (f"\n{pad}}}" if header else "}")
     open_list = f"[\n{pad}    "
@@ -125,10 +118,29 @@ def _json_objects(header, rows, pad):
         yield template % tuple(texts)
 
 
-def _json_list(out, header, texts):
+def json_body(header, rows):
+    """The objects of ``rows`` in a JSON list, with their separators, as one string."""
+    return ",\n  ".join(_json_objects(header, rows, "  "))
+
+
+def sweep_to_csv(out, header, texts):
+    """Write ``header`` as CSV, then each of ``texts``, the :func:`csv_body` of a run of rows.
+
+    Every CSV table is framed here, by ``out.write`` alone; the name is a
+    sweep's because the traced benchmark times these writes by it.
+    """
+    csv.writer(out, lineterminator="\n").writerow(header)
+    for text in texts:
+        out.write(text)
+
+
+def sweep_to_json(out, header, texts):
     """Write ``texts``, objects keyed by ``header``, as one JSON list: ``[]`` when there is none.
 
+    Each of ``texts`` is the :func:`json_body` of a nonempty run of rows.
     Column names must be distinct, checked before anything is written.
+    Every JSON list is framed here; the name is a sweep's, as for
+    :func:`sweep_to_csv`.
     """
     if len(set(header)) != len(header):
         raise ValueError(f"column names must be distinct, got {header!r}")
@@ -140,47 +152,45 @@ def _json_list(out, header, texts):
     out.write("[]\n" if separator == "[\n  " else "\n]\n")
 
 
-def json_text(out, header, rows, single=False):
-    """Write a list of objects keyed by ``header``, or the one object when ``single``.
+def table_format(fmt, header):
+    """``(body, frame)`` for a table of ``header``: JSON when ``fmt`` is ``"json"``, else CSV.
 
-    The text is byte-identical to ``json.JSONEncoder(indent=2).encode`` of
-    ``[dict(zip(header, row)) for row in rows]`` (or of the one object) plus
-    a newline, for the values a table holds: ``None``, ``bool``, ``int``,
-    ``float`` (``NaN``/``Infinity``/``-Infinity`` as :mod:`json` writes
-    them), ``str`` and a tuple of ``str``.  Any other value raises
-    :class:`TypeError`.  Column names must be distinct and a ``single``
-    table has exactly one row, both checked before anything is written;
-    each row has one value per column.
-
-    Each object is formatted as one string and written with its separator.
-    With ``indent`` set, :mod:`json` skips its C encoder and joins one chunk
-    per token, millions of them for a large sweep.  A float that repeats
-    within the call is formatted once (:func:`_float_text`).
+    ``body(rows)`` formats a run of rows as one string; ``frame(out, header,
+    texts)`` writes such strings as one table.  Both are looked up when this
+    is called, so a wrapper put in their place (the benchmark's) is used.
     """
-    if not single:
-        _json_list(out, header, _json_objects(header, rows, "  "))
-        return
-    if len(set(header)) != len(header):
-        raise ValueError(f"column names must be distinct, got {header!r}")
-    (row,) = rows
-    (text,) = _json_objects(header, [row], "")
-    out.write(text + "\n")
-
-
-def json_body(header, rows):
-    """The objects :func:`json_text` writes for ``rows``, with their separators, as one string."""
-    return ",\n  ".join(_json_objects(header, rows, "  "))
+    if fmt == "json":
+        return functools.partial(json_body, header), sweep_to_json
+    return csv_body, sweep_to_csv
 
 
 def write_table(out, fmt, header, rows, single=False):
     """Write ``header`` and ``rows`` as JSON when ``fmt`` is ``"json"``, else as CSV.
 
-    A ``single`` JSON table is its one object; its CSV is the header and the row.
+    The JSON is byte-identical to ``json.JSONEncoder(indent=2).encode`` of
+    ``[dict(zip(header, row)) for row in rows]`` plus a newline, for the
+    values a table holds: ``None``, ``bool``, ``int``, ``float``
+    (``NaN``/``Infinity``/``-Infinity`` as :mod:`json` writes them), ``str``
+    and a tuple of ``str``.  Any other value raises :class:`TypeError`
+    before the chunk that holds it is written.  Column names must be
+    distinct, checked before anything is written; each row has one value
+    per column.  A ``single`` JSON table is its one object and has exactly
+    one row, checked before anything is written; its CSV is the header and
+    the row.  Rows are formatted in runs of ``_CHUNK_ROWS``, each one string
+    to the frame of :func:`table_format`: the writer holds at most one
+    chunk's text (:mod:`json` with ``indent`` set joins one piece per token).
     """
-    if fmt == "json":
-        json_text(out, header, rows, single=single)
-    else:
-        csv_text(out, header, rows)
+    if fmt == "json" and single:
+        if len(set(header)) != len(header):
+            raise ValueError(f"column names must be distinct, got {header!r}")
+        (row,) = rows
+        (text,) = _json_objects(header, [row], "")
+        out.write(text + "\n")
+        return
+    body, frame = table_format(fmt, header)
+    rows = iter(rows)
+    chunks = iter(lambda: list(itertools.islice(rows, _CHUNK_ROWS)), [])
+    frame(out, header, map(body, chunks))
 
 
 TRAJECTORY_HEADER = ["k", "p0", "p1", "p2"]
@@ -212,17 +222,6 @@ def classification_rows(report, predicted, flags=()):
 
 # A ``SweepRow`` is its own row, so its fields are the header.
 SWEEP_HEADER = list(SweepRow._fields)
-
-
-def sweep_to_csv(out, header, texts):
-    """Write ``header`` as CSV, then each of ``texts``, the :func:`csv_body` of a run of rows."""
-    csv.writer(out, lineterminator="\n").writerow(header)
-    out.writelines(texts)
-
-
-def sweep_to_json(out, header, texts):
-    """Write ``texts``, each the :func:`json_body` of a nonempty run of rows, as one JSON list."""
-    _json_list(out, header, texts)
 
 
 REPLICATION_HEADER = ["replication", "k", "p0", "p1", "p2"]

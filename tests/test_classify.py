@@ -290,6 +290,45 @@ def test_classify_and_a_classify_only_sweep_match_the_restated_rules(cell, coord
     assert repr(row) == repr(restated_row(cell, coordinate, init, bound_check))
 
 
+MIRRORED = {Scenario.ATTRACTIVE: Scenario.REPULSIVE, Scenario.REPULSIVE: Scenario.ATTRACTIVE,
+            Scenario.DOMINANT: Scenario.DEGENERATE, Scenario.DEGENERATE: Scenario.DOMINANT}
+cube_cells = st.tuples(cube_values, cube_values, cube_values)
+
+
+def scenario_outcome(cell, coordinate):
+    """Coordinate ``coordinate``'s scenario, boundary flags, ``rho_m`` and contraction factor,
+    the floats as ``repr``; a missing equilibrium has none of them."""
+    try:
+        report = classify(DirectingParams(*cell), coordinate)
+    except BoundaryCaseError as exc:
+        return "boundary", exc.flags, repr(exc.rho_m), None
+    except NoEquilibriumError:
+        return "no_equilibrium", (), None, None
+    return report.scenario, (), repr(report.rho_m), repr(report.contraction_factor)
+
+
+# v -> -v keeps every pairwise product v_i * v_j, so V and each rho_i, but flips v_m's sign.
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(cell=cube_cells, coordinate=st.integers(0, 2))
+@example(cell=(0.0, 0.2, 0.3), coordinate=0)
+@example(cell=(0.5, 0.5, -0.25), coordinate=2)
+def test_negating_v_swaps_each_scenario_with_its_mirror_and_keeps_rho_m(cell, coordinate):
+    scenario, flags, rho_m, _ = scenario_outcome(cell, coordinate)
+    negated = scenario_outcome(tuple(-v for v in cell), coordinate)
+    assert negated[:3] == (MIRRORED.get(scenario, scenario), flags, rho_m)
+
+
+# Swapping v0 with v1 swaps rho0 with rho1 and keeps V and rho2 (float products and sums of
+# two commute), and reflects the reduced matrix across its antidiagonal: same trace and det.
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(cell=cube_cells, coordinate=st.integers(0, 2))
+@example(cell=(0.0, 0.2, 0.3), coordinate=0)
+@example(cell=(0.5, 0.5, -0.25), coordinate=2)
+def test_swapping_v0_with_v1_and_coordinate_0_with_1_changes_nothing(cell, coordinate):
+    swapped = scenario_outcome((cell[1], cell[0], cell[2]), (1, 0, 2)[coordinate])
+    assert swapped == scenario_outcome(cell, coordinate)
+
+
 # --------------------------------------------------------- estimate_limit
 
 def test_estimate_limit_attractive():

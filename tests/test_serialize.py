@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,9 +33,17 @@ def emitted(emit, *args, **kwargs):
     return buf.getvalue()
 
 
+# write_table's chunk sizes to check a table at: one row, two, and the default
+CHUNK_SIZES = [1, 2, serialize._CHUNK_ROWS]
+
+
 def reparse_identical(text):
     rows = list(csv.reader(io.StringIO(text)))
-    return emitted(serialize.csv_text, rows[0], rows[1:]) == text
+    for size in CHUNK_SIZES:
+        with mock.patch.object(serialize, "_CHUNK_ROWS", size):
+            if emitted(serialize.write_table, "csv", rows[0], rows[1:]) != text:
+                return False
+    return True
 
 
 def test_format_float_round_trips():
@@ -128,7 +137,7 @@ def test_replications_and_deviation_serialization():
     assert [row["n"] for row in payload] == [10, 100]
 
 
-# The stdlib encoder json_text must match byte for byte.
+# The stdlib encoder write_table's JSON must match byte for byte.
 REFERENCE = json.JSONEncoder(indent=2)
 
 
@@ -139,13 +148,13 @@ def reference_json_text(header, rows, single=False):
     return REFERENCE.encode(objects) + "\n"
 
 
-def test_json_text_matches_json_dumps_byte_for_byte():
+def test_write_table_json_matches_json_dumps_byte_for_byte():
     header = ["k", "x", "flags"]
     for n in (0, 1, 2500):
         rows = [(k, k / 7, ("a", "b") if k % 2 else ()) for k in range(n)]
         expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-        assert emitted(serialize.json_text, header, iter(rows)) == expected
-    assert emitted(serialize.json_text, header, [(1, 0.5, ())], single=True) == (
+        assert emitted(serialize.write_table, "json", header, iter(rows)) == expected
+    assert emitted(serialize.write_table, "json", header, [(1, 0.5, ())], single=True) == (
         json.dumps({"k": 1, "x": 0.5, "flags": []}, indent=2) + "\n"
     )
 
@@ -170,12 +179,14 @@ def tables(draw):
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
-@given(table=tables())
-def test_json_text_matches_stdlib_encoder_on_any_table(table):
+@given(table=tables(), size=st.sampled_from(CHUNK_SIZES))
+def test_write_table_json_matches_stdlib_encoder_on_any_table(table, size):
     header, rows = table
-    assert emitted(serialize.json_text, header, rows) == reference_json_text(header, rows)
+    with mock.patch.object(serialize, "_CHUNK_ROWS", size):
+        assert (emitted(serialize.write_table, "json", header, rows)
+                == reference_json_text(header, rows))
     for row in rows:
-        assert (emitted(serialize.json_text, header, [row], single=True)
+        assert (emitted(serialize.write_table, "json", header, [row], single=True)
                 == reference_json_text(header, [row], single=True))
 
 
@@ -236,12 +247,13 @@ def reference_csv_body(rows):
 def test_writers_give_every_repeat_of_a_value_its_own_text_in_long_tables(table):
     header, rows, cut = table
     expected = reference_json_text(header, rows)
-    assert emitted(serialize.json_text, header, rows) == expected
+    assert emitted(serialize.write_table, "json", header, rows) == expected
     parts = [serialize.json_body(header, part) for part in (rows[:cut], rows[cut:]) if part]
     assert emitted(serialize.sweep_to_json, header, parts) == expected
     expected = reference_csv_body(rows)
     assert serialize.csv_body(rows) == expected
-    assert emitted(serialize.csv_text, header, rows) == ",".join(header) + "\n" + expected
+    assert (emitted(serialize.write_table, "csv", header, rows)
+            == ",".join(header) + "\n" + expected)
     parts = [serialize.csv_body(rows[:cut]), serialize.csv_body(rows[cut:])]
     assert emitted(serialize.sweep_to_csv, header, parts) == (
         ",".join(header) + "\n" + expected)
@@ -255,14 +267,14 @@ def test_the_float_text_map_stays_bounded():
 
 
 @pytest.mark.parametrize("value", [np.int64(3), {1}, object()])
-def test_json_text_rejects_values_outside_a_table(value):
+def test_write_table_rejects_values_outside_a_table(value):
     with pytest.raises(TypeError):
-        emitted(serialize.json_text, ["x"], [(value,)])
+        emitted(serialize.write_table, "json", ["x"], [(value,)])
 
 
-def test_json_text_rejects_repeated_column_names():
+def test_write_table_rejects_repeated_column_names():
     with pytest.raises(ValueError, match="distinct"):
-        emitted(serialize.json_text, ["x", "x"], [(1, 2)])
+        emitted(serialize.write_table, "json", ["x", "x"], [(1, 2)])
 
 
 class RecordingStream:
@@ -276,10 +288,22 @@ class RecordingStream:
         return len(text)
 
 
+def write_table_json(out, header, rows):
+    serialize.write_table(out, "json", header, rows)
+
+
+def test_write_table_raises_on_a_value_outside_a_table_before_writing_its_chunk(monkeypatch):
+    monkeypatch.setattr(serialize, "_CHUNK_ROWS", 2)
+    stream = RecordingStream()
+    with pytest.raises(TypeError):
+        write_table_json(stream, ["x"], [(1,), (2,), (3,), (object(),)])
+    assert "".join(stream.writes) == reference_json_text(["x"], [(1,), (2,)])[:-len("\n]\n")]
+
+
 @pytest.mark.parametrize("emit, texts", [
-    (serialize.json_text, [(1, 2)]),
+    (write_table_json, [(1, 2)]),
     (serialize.sweep_to_json, [serialize.json_body(["x", "y"], [(1, 2)])]),
-], ids=["json_text", "sweep_to_json"])
+], ids=["write_table", "sweep_to_json"])
 def test_json_writers_reject_repeated_column_names_before_writing(emit, texts):
     stream = RecordingStream()
     with pytest.raises(ValueError, match="distinct"):
@@ -318,19 +342,31 @@ def replications_json(out, rows):
     serialize.write_table(out, "json", serialize.REPLICATION_HEADER, rows)
 
 
+def rows_in(text):
+    """The rows a write of a CSV or JSON table holds: its lines, or its objects' closing braces."""
+    return text.count("\n  }") if text.startswith(("[", ",")) else text.count("\n")
+
+
+@pytest.mark.parametrize("size", [1, 500, serialize._CHUNK_ROWS])
 @pytest.mark.parametrize("emit, table", [
     (sweep_csv, sweep_table),
     (sweep_json, sweep_table),
     (replications_csv, replication_table),
     (replications_json, replication_table),
 ], ids=["csv", "json", "write_table-csv", "write_table-json"])
-def test_sweep_emitters_write_each_row_as_it_is_formatted(emit, table):
+def test_sweep_emitters_write_each_row_as_it_is_formatted(emit, table, size, monkeypatch):
     rows = table()
+    monkeypatch.setattr(serialize, "_CHUNK_ROWS", size)
     stream = RecordingStream()
     emit(stream, rows)
-    assert len(stream.writes) >= len(rows)
-    # a one-row table is one row's text plus the header or the list framing
-    assert max(map(len, stream.writes)) <= max(len(emitted(emit, [row])) for row in rows)
+    if size == 1:
+        assert len(stream.writes) >= len(rows)
+        # a one-row table is one row's text plus the header or the list framing
+        assert max(map(len, stream.writes)) <= max(len(emitted(emit, [row])) for row in rows)
+    else:
+        # the header or the list's end, and one write per chunk of rows
+        assert len(stream.writes) == 1 + math.ceil(len(rows) / size)
+        assert max(map(rows_in, stream.writes)) <= size
     assert "".join(stream.writes) == emitted(emit, rows)
 
 
@@ -347,19 +383,21 @@ def test_the_sweep_pair_writes_the_bytes_of_write_table(fmt):
     def body(chunk):
         return serialize.json_body(header, chunk) if fmt == "json" else serialize.csv_body(chunk)
 
-    # the pair takes the text of each chunk of rows, as a sweep's chunks give it
+    # the pair takes the text of each chunk of rows, as a sweep's chunks give it; write_table
+    # frames through the same pair, so the bytes are the stdlib's
     for part in ([], rows[:1], rows):
-        expected = emitted(serialize.write_table, fmt, header, part)
+        expected = (reference_json_text(header, part) if fmt == "json"
+                    else ",".join(header) + "\n" + reference_csv_body(part))
         for size in (1, 500, 2000):
             texts = [body(part[i:i + size]) for i in range(0, len(part), size)]
             assert emitted(emit, header, texts) == expected
 
 
 @pytest.mark.parametrize("rows", [[], [(1,), (2,)]], ids=["no-row", "two-rows"])
-def test_json_text_single_checks_the_row_count_before_writing(rows):
+def test_write_table_single_checks_the_row_count_before_writing(rows):
     stream = RecordingStream()
     with pytest.raises(ValueError):
-        serialize.json_text(stream, ["x"], rows, single=True)
+        serialize.write_table(stream, "json", ["x"], rows, single=True)
     assert stream.writes == []
 
 
