@@ -13,11 +13,17 @@ CPU count.
 
 Each worker is forked with ``os.fork`` and talks to the calling process
 over two pipes of its own: it reads a task, writes back the result, and
-waits for the next task.  Tasks and results cross the pipes as pickles,
-each preceded by its length.  The calling process runs no thread for this,
-so it stays safe to fork; it waits on the result pipes with ``select``, and
-sees a worker that dies at once, as the end of its result pipe.  ``pickle``
-and ``select`` are imported only when workers start.
+waits for the next task.  Tasks and results cross the pipes as bare
+pickles, each written whole with ``os.write``; pickle marks where each one
+ends, so each reading end is wrapped once in a buffered file and read with
+``pickle.load``.  The calling process runs no thread for this, so it stays
+safe to fork; it waits on the result pipes with ``select``, and sees a
+worker that dies at once, as the end of its result pipe.  A buffered
+reader is safe under ``select`` because a pipe never holds more than one
+unread message: a worker writes one result per task and gets its next task
+only after that result has been read, so no reader's buffer holds a
+message that ``select`` cannot see.  ``pickle`` and ``select`` are imported
+only when workers start.
 """
 
 import contextlib
@@ -28,8 +34,6 @@ from itertools import chain, islice
 # Each worker holds one task at a time; the window bounds how many finished
 # results wait in the calling process for the caller to take them.
 _AHEAD_PER_WORKER = 2
-
-_LENGTH_BYTES = 8  # the length that precedes each pickle on a pipe
 
 _END = object()  # what next() gives for a task list that has run out
 
@@ -70,66 +74,48 @@ def workers_for(size, min_size):
     return workers
 
 
-def _frame(obj):
-    """``obj`` pickled, preceded by its length: one message on a pipe."""
-    import pickle
-
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    return len(data).to_bytes(_LENGTH_BYTES, "little") + data
-
-
-def _write(fd, frame):
-    view = memoryview(frame)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read(fd, size):
-    """``size`` bytes from ``fd``, read in place; EOFError if the pipe ends first."""
-    data = bytearray(size)
+def _write(fd, data):
+    """All of ``data`` to ``fd``, unbuffered: a failed write leaves nothing to flush later."""
     view = memoryview(data)
     while view:
-        count = os.readv(fd, [view])
-        if not count:
-            raise EOFError
-        view = view[count:]
-    return data
-
-
-def _receive(fd):
-    """The next object framed on ``fd``; EOFError if the pipe ends before all of it."""
-    import pickle
-
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, _LENGTH_BYTES), "little")))
+        view = view[os.write(fd, view):]
 
 
 def _serve(fn, tasks, results):
     """Worker loop: write ``(True, fn(task))`` or ``(False, error)`` for each task read.
 
-    The loop ends when the calling process closes the task pipe or exits; a
-    Ctrl-C is left to the calling process, which then stops the workers.
+    ``tasks`` and ``results`` are the fds of the worker's ends of its two
+    pipes: it reads tasks through a buffered file over ``tasks`` and writes
+    each result whole to ``results``.  The sibling result readers it
+    inherited are left as objects over fds :func:`_fork` closed; the worker
+    never reads or closes them.  The loop ends when the calling process
+    closes the task pipe or exits; a Ctrl-C is left to the calling process,
+    which then stops the workers.
     """
+    import pickle
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    tasks = os.fdopen(tasks, "rb")
     while True:
         try:
-            task = _receive(tasks)
+            task = pickle.load(tasks)
         except EOFError:
             return
         try:
-            frame = _frame((True, fn(task)))
+            data = pickle.dumps((True, fn(task)), pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
-            frame = _frame((False, exc))
-        _write(results, frame)
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        _write(results, data)
 
 
 def _fork(fn, workers):
-    """Fork one more worker running ``fn``; append its ``(pid, task fd, result fd)`` to ``workers``.
+    """Fork a worker running ``fn``; append its ``(pid, task fd, result reader)`` to ``workers``.
 
     The worker closes the calling process's ends of its own pipes and of its
-    siblings', so that the calling process's exit ends every pipe, and it
-    leaves by ``os._exit``: it never returns into the caller's code.
+    siblings' (the fd under each sibling's reader, not the reader object),
+    so that the calling process's exit ends every pipe, and it leaves by
+    ``os._exit``: it never returns into the caller's code.
     """
     task_read, task_write = os.pipe()
     result_read, result_write = os.pipe()
@@ -142,7 +128,8 @@ def _fork(fn, workers):
     if pid == 0:
         code = 1
         try:
-            for fd in (task_write, result_read, *(fd for _, *ends in workers for fd in ends)):
+            for fd in (task_write, result_read,
+                       *(fd for _, task, reader in workers for fd in (task, reader.fileno()))):
                 os.close(fd)
             _serve(fn, task_read, result_write)
             code = 0
@@ -150,7 +137,7 @@ def _fork(fn, workers):
             os._exit(code)
     os.close(task_read)
     os.close(result_write)
-    workers.append((pid, task_write, result_read))
+    workers.append((pid, task_write, os.fdopen(result_read, "rb")))
 
 
 @contextlib.contextmanager
@@ -188,10 +175,10 @@ def ordered_map(fn, tasks, workers):
             _fork(fn, started)
         yield _results(fn, first[:1], chain(first[1:], tasks), started)
     finally:
-        for pid, task_write, result_read in started:
+        for pid, task_write, results in started:
             os.kill(pid, signal.SIGKILL)
             os.close(task_write)
-            os.close(result_read)
+            results.close()
         for pid, *_ in started:
             os.waitpid(pid, 0)
         if freeze:
@@ -200,16 +187,17 @@ def ordered_map(fn, tasks, workers):
 
 def _results(fn, local, tasks, workers):
     """``fn`` of the ``local`` task here while the ``workers`` start, then of ``tasks`` on them."""
+    import pickle
     import select
 
     ahead = _AHEAD_PER_WORKER * len(workers)
-    idle, busy, done = list(workers), {}, {}  # busy: result fd -> (worker, task index)
+    idle, busy, done = list(workers), {}, {}  # busy: result reader -> (worker, task index)
     sent = index = 0  # tasks handed out; the next result to yield
     while True:
         while idle and sent < index + ahead and (task := next(tasks, _END)) is not _END:
             worker = idle.pop()
             try:
-                _write(worker[1], _frame(task))
+                _write(worker[1], pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
             except BrokenPipeError:  # the worker died while it waited for a task
                 raise _lost() from None
             busy[worker[2]] = worker, sent
@@ -226,10 +214,10 @@ def _results(fn, local, tasks, workers):
                 raise value
             yield value
             continue
-        for fd in select.select(list(busy), [], [])[0]:
-            worker, i = busy.pop(fd)
+        for results in select.select(list(busy), [], [])[0]:
+            worker, i = busy.pop(results)
             try:
-                done[i] = _receive(fd)
-            except EOFError:
+                done[i] = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended before or inside a pickle
                 raise _lost() from None
             idle.append(worker)

@@ -329,6 +329,78 @@ def test_swapping_v0_with_v1_and_coordinate_0_with_1_changes_nothing(cell, coord
     assert swapped == scenario_outcome(cell, coordinate)
 
 
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+LEAST_NORMAL = Fraction(1, 2 ** 1022)
+
+
+def exact_scenario(v_m, rho_m):
+    """``classify``'s rules on exact ``v_m`` and ``rho_m``, with no tolerance."""
+    if v_m == 0 or rho_m in (0, 1):
+        return "boundary"
+    if 0 < rho_m < 1:
+        return Scenario.ATTRACTIVE if v_m > 0 else Scenario.REPULSIVE
+    return Scenario.DOMINANT if v_m < 0 else Scenario.DEGENERATE
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(cell=cube_cells)
+@example(cell=(0.3, 0.6, -0.2))  # V = 0 in decimals, not in the floats' exact values
+@example(cell=(5e-324, 0.75, 0.75))  # two products round up to the least subnormal
+@example(cell=(0.0, 1.0, 5e-324))  # V is the least subnormal
+@example(cell=(-2e-323, 1.5e-322, 0.16679128018481126))  # rho0 = 1.25 against 1.1538...
+@example(cell=(0.5, -0.25, 0.25))  # rho0 = 1 exactly: v1 = -v2
+def test_classify_matches_an_exact_rational_reference_within_a_derived_error_bound(cell):
+    """Each float is taken as its exact rational; ``Fraction`` gives the exact products
+    ``P_i`` (``P_0 = v1*v2``, ...), ``V = sum(P_i)`` and ``rho_i = P_i / V``.
+
+    Scenario: where ``classify`` gives one (neither ``no_equilibrium`` nor ``boundary``),
+    the exact one is the same, for every coordinate.
+
+    Error bound.  IEEE doubles round to nearest, with unit roundoff ``u = 2**-53``.  A
+    product or quotient ``x`` is off by at most half an ulp, ``u |x|`` for a normal
+    result and ``t = u 2**-1022 = 2**-1075`` for a subnormal one, and never by more
+    than ``|x|`` (0 is a double); a sum is ``x (1 + d)`` with ``|d| <= u`` (a subnormal
+    sum is exact).  ``compute_equilibrium`` forms ``p_i = P_i + e_i`` with ``|e_i| <= E_i
+    = min(u max(|P_i|, 2**-1022), |P_i|)``, then ``D = (p_0 + p_1) + p_2`` and ``r_i =
+    p_i / D``.  Two sum roundings give ``|D - sum(p_i)| <= gamma_2 sum|p_i|`` with
+    ``gamma_2 = 2u / (1 - 2u)``, so ``D = V (1 + s)``, ``|s| <= k = (gamma_2 sum|P_i| +
+    (1 + gamma_2) sum(E_i)) / |V|``, and::
+
+        r_i = (rho_i + e_i / V)(1 + d) / (1 + s) + e,   |d| <= u, |e| <= t
+        |r_i - rho_i| <= (|rho_i| (u + k) + E_i (1 + u) / |V|) / (1 - k) + t
+
+    which holds while ``k < 1``.  Away from underflow ``E_i = u |P_i|``, so the bound is
+    about ``|rho_i| (2u + k) / (1 - k)`` with ``k ~ 3u sum|P_i| / |V|``; past the
+    ``SINGULAR_REL_TOL = 1e-14`` guard, ``|D| > 1e-14 max|p_i|`` gives ``|V| >~ 9e-15
+    max|P_i|`` and so ``k <~ 0.11``.  Where ``V`` is a few least subnormals (all three
+    ``|v_i|`` near 1e-162) the guard lets through cells with ``k >= 1``, whose ``r_i``
+    carry no error bound; ROADMAP item 11 records one.  The bound is evaluated in
+    ``Fraction``, with no rounding of its own.
+    """
+    v = tuple(map(Fraction, cell))
+    products = (v[1] * v[2], v[0] * v[2], v[0] * v[1])
+    exact_v = sum(products)
+    for m in range(3):
+        scenario = scenario_outcome(cell, m)[0]
+        if scenario not in ("no_equilibrium", "boundary"):
+            assert exact_v != 0
+            assert scenario is exact_scenario(v[m], products[m] / exact_v)
+    try:
+        eq = compute_equilibrium(DirectingParams(*cell))
+    except NoEquilibriumError:
+        return
+    assert exact_v != 0
+    u, t = UNIT_ROUNDOFF, UNIT_ROUNDOFF * LEAST_NORMAL
+    gamma_2 = 2 * u / (1 - 2 * u)
+    errors = [min(u * max(abs(product), LEAST_NORMAL), abs(product)) for product in products]
+    k = (gamma_2 * sum(map(abs, products)) + (1 + gamma_2) * sum(errors)) / abs(exact_v)
+    assert k < 1
+    for rho, product, error in zip(eq[:3], products, errors):
+        exact_rho = product / exact_v
+        bound = (abs(exact_rho) * (u + k) + error * (1 + u) / abs(exact_v)) / (1 - k) + t
+        assert abs(Fraction(rho) - exact_rho) <= bound
+
+
 # --------------------------------------------------------- estimate_limit
 
 def test_estimate_limit_attractive():

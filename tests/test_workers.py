@@ -18,6 +18,7 @@ import hashlib
 import importlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -413,25 +414,53 @@ def _large(task):
     return bytes(range(256)) * (3 * 4096) + task.to_bytes(2, "little")
 
 
-def test_a_result_over_1_mib_comes_back_intact(deadline):
-    with ordered_map(_large, range(5), 2) as results:
+def _sized(size):
+    """``size`` bytes, different from one size to the next."""
+    return bytes([size % 251]) * size
+
+
+def _payload_of_message(size):
+    """The size of the bytes whose result, pickled as a worker sends it, is ``size`` bytes."""
+    def message(payload):
+        return len(pickle.dumps((True, _sized(payload)), pickle.HIGHEST_PROTOCOL))
+
+    payload = 2 * size - message(size)
+    assert message(payload) == size
+    return payload
+
+
+# around the calling process's 8 KiB read buffer and a pipe's 64 KiB capacity, and 3 MiB
+BOUNDARIES = (0, 1, 8191, 8192, 8193, 65535, 65536, 65537, 3 << 20)
+# each size as a result, and, past a pickle's few bytes of its own, as the message on the pipe
+SIZES = [*BOUNDARIES, *(_payload_of_message(size) for size in BOUNDARIES if size > 64)]
+
+
+@pytest.mark.parametrize("fn, tasks", [(_large, range(5)), (_sized, SIZES)],
+                         ids=["3-mib", "around-buffer-sizes"])
+def test_a_result_over_1_mib_comes_back_intact(deadline, fn, tasks):
+    # 2 workers: each reads several tasks and sends several results down its own pipes
+    with ordered_map(fn, tasks, 2) as results:
         got = list(results)
-    assert got == [_large(task) for task in range(5)]
-    assert len(got[0]) > 1 << 20
+    assert got == [fn(task) for task in tasks]
+    assert max(map(len, got)) > 1 << 20
     _assert_no_child_left()
 
 
-def test_a_worker_killed_in_the_middle_of_a_frame_raises(deadline, monkeypatch):
+# a pickle cut short raises UnpicklingError in the reader, a pipe with none of it EOFError
+@pytest.mark.parametrize("cut", [lambda size: 0, lambda size: 1, lambda size: size // 2,
+                                 lambda size: size - 1],
+                         ids=["nothing", "after-the-first-byte", "at-half", "before-the-last-byte"])
+def test_a_worker_killed_in_the_middle_of_a_frame_raises(deadline, monkeypatch, cut):
     parent = os.getpid()
     write = ternary_dynamics._pool._write
 
-    def write_half_then_die(fd, frame):
+    def write_part_then_die(fd, data):
         if os.getpid() == parent:  # a task, sent by this process
-            return write(fd, frame)
-        write(fd, frame[:len(frame) // 2])
+            return write(fd, data)
+        write(fd, data[:cut(len(data))])
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(ternary_dynamics._pool, "_write", write_half_then_die)
+    monkeypatch.setattr(ternary_dynamics._pool, "_write", write_part_then_die)
     with pytest.raises(WorkerLostError):
         with ordered_map(_large, range(4), 2) as results:
             list(results)
