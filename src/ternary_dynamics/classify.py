@@ -249,15 +249,6 @@ class SweepRow(NamedTuple):
     flags: tuple
 
 
-def _check_sweep_settings(coordinate, init, tol, max_steps, agreement_tol):
-    """:func:`sweep`'s checks of its settings; returns the coordinate and the start point."""
-    coordinate = _check_coordinate(coordinate)
-    if not agreement_tol > 0.0:
-        raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
-    _check_limit_settings(tol, max_steps, DEFAULT_WINDOW)
-    return coordinate, SimplexPoint.of(init)
-
-
 def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=False, *,
           bound_check=True, tol=1e-10, max_steps=10000, agreement_tol=1e-6):
     """Classify every parameter triple in ``cells``; one row per cell, in input order.
@@ -271,11 +262,16 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     cell whose limit cannot be estimated keeps its classification and is
     flagged ``degenerate_clamp`` or ``matrix_overflow``.
     Each row depends only on its own cell, so a sub-grid gives the same
-    rows as the matching rows of a larger grid.  ``tol``, ``max_steps`` and
-    ``agreement_tol`` are checked before the first cell, with or without ``simulate``;
-    a cell that is not three numbers raises :class:`InvalidInputError` when the loop reaches it.
+    rows as the matching rows of a larger grid.  ``coordinate``, ``init``, ``tol``,
+    ``max_steps`` and ``agreement_tol`` are checked before the first cell, with or without
+    ``simulate``, so ``sweep((), ...)`` checks every setting and returns ``[]``; a cell
+    that is not three numbers raises :class:`InvalidInputError` when the loop reaches it.
     """
-    coordinate, init = _check_sweep_settings(coordinate, init, tol, max_steps, agreement_tol)
+    coordinate = _check_coordinate(coordinate)
+    if not agreement_tol > 0.0:
+        raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
+    _check_limit_settings(tol, max_steps, DEFAULT_WINDOW)
+    init = SimplexPoint.of(init)
     start = init[coordinate]
     rows = []
     for cell in cells:

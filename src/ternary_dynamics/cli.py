@@ -6,10 +6,11 @@ atomically via a temp file) in CSV or JSON; diagnostics go to stderr so
 pipelines stay clean.  Each command checks all of its input, then returns
 a one-argument writer, so a run with bad input writes no data.  Every
 command but ``sweep`` also computes all of its rows first and passes its
-header and rows to ``serialize.write_table``; a ``sweep`` formats chunks of
-rows, here or in forked workers, with the ``body`` that
-``serialize.table_format`` gives, whose ``frame`` writes them in order
-under the header ``_cmd_sweep`` picks.  ``serialize`` alone decides the format.
+header and rows to ``serialize.write_table``.  A ``sweep`` checks its
+settings with ``sweep`` on no cells; each chunk of cells then becomes
+``body(sweep(chunk, ...))``, here or in forked workers, and the ``frame``
+that ``serialize.table_format`` pairs with ``body`` writes the chunks in
+order under the header ``_cmd_sweep`` picks.  ``serialize`` alone decides the format.
 Exit codes: 0 success, 1 a worker process died, 2 invalid input,
 3 no equilibrium, 4 degenerate clamp, 5 boundary classification.
 
@@ -19,7 +20,6 @@ subcommand; flags given on the command line win on conflict.
 """
 
 import argparse
-import functools
 import itertools
 import math
 import os
@@ -31,7 +31,6 @@ from . import _pool, serialize
 from .classify import (
     BoundaryCaseError,
     UnresolvedPredictionError,
-    _check_sweep_settings,
     classify,
     sweep,
 )
@@ -332,11 +331,6 @@ _SIMULATE_POOL_MIN_CELLS = 1_200
 _SIMULATE_CHUNK_CELLS = 100
 
 
-def _sweep_text(settings, body, cells):
-    """``body`` of the rows that ``sweep`` with ``settings`` gives one chunk of ``cells``."""
-    return body(sweep(cells, **settings))
-
-
 def _cmd_sweep(args):
     axes = (args.v0, args.v1, args.v2)
     if args.cells is not None and any(a is not None for a in axes):
@@ -353,8 +347,7 @@ def _cmd_sweep(args):
     settings = dict(coordinate=args.m, init=SimplexPoint(*args.init), simulate=args.simulate,
                     bound_check=not args.allow_out_of_range, tol=args.tol,
                     max_steps=args.max_steps, agreement_tol=args.agreement_tol)
-    # every setting is checked here, so that a pooled sweep fails before its first byte
-    _check_sweep_settings(args.m, settings["init"], args.tol, args.max_steps, args.agreement_tol)
+    sweep((), **settings)  # checks every setting, so a pooled sweep fails before its first byte
     header = serialize.SWEEP_HEADER
     body, frame = serialize.table_format(args.format, header)
     if args.simulate:
@@ -365,10 +358,10 @@ def _cmd_sweep(args):
     chunks = iter(lambda: list(itertools.islice(cells, size)), [])
 
     def write(out):
-        # _sweep_text is bound as the run starts, not on import; the workers get the binding
-        # with the fork, so each task is just a chunk's cells
-        text = functools.partial(_sweep_text, settings, body)
-        with _pool.ordered_map(text, chunks, workers) as texts:
+        # the workers get this closure with the fork, so each task is just a chunk's cells;
+        # it looks sweep up at each call
+        with _pool.ordered_map(lambda chunk: body(sweep(chunk, **settings)), chunks,
+                               workers) as texts:
             frame(out, header, texts)
 
     return write

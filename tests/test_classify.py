@@ -293,6 +293,10 @@ def test_classify_and_a_classify_only_sweep_match_the_restated_rules(cell, coord
 MIRRORED = {Scenario.ATTRACTIVE: Scenario.REPULSIVE, Scenario.REPULSIVE: Scenario.ATTRACTIVE,
             Scenario.DOMINANT: Scenario.DEGENERATE, Scenario.DEGENERATE: Scenario.DOMINANT}
 cube_cells = st.tuples(cube_values, cube_values, cube_values)
+# A cube cell times 2**-e, down to the least subnormal: from e ~ 511 its products underflow,
+# and near e = 537 they are a few least subnormals each, so V can be all rounding.
+tiny_cells = st.builds(lambda cell, e: tuple(math.ldexp(v, -e) for v in cell), cube_cells,
+                       st.one_of(st.integers(0, 1074), st.integers(530, 545)))
 
 
 def scenario_outcome(cell, coordinate):
@@ -343,11 +347,13 @@ def exact_scenario(v_m, rho_m):
 
 
 @settings(max_examples=1500, derandomize=True, deadline=None)
-@given(cell=cube_cells)
+@given(cell=st.one_of(cube_cells, tiny_cells))
 @example(cell=(0.3, 0.6, -0.2))  # V = 0 in decimals, not in the floats' exact values
 @example(cell=(5e-324, 0.75, 0.75))  # two products round up to the least subnormal
-@example(cell=(0.0, 1.0, 5e-324))  # V is the least subnormal
-@example(cell=(-2e-323, 1.5e-322, 0.16679128018481126))  # rho0 = 1.25 against 1.1538...
+@example(cell=(0.0, 1.0, 5e-324))  # V is the least subnormal: no equilibrium
+@example(cell=(-2e-323, 1.5e-322, 0.16679128018481126))  # a subnormal V: no equilibrium
+# every product underflows: rho was (2, 1, -2) against the exact (2.96, 1.50, -3.46), k = 2.3
+@example(cell=(-2.3494635800381015e-162, -4.656468321295535e-162, 2.0129455232895262e-162))
 @example(cell=(0.5, -0.25, 0.25))  # rho0 = 1 exactly: v1 = -v2
 def test_classify_matches_an_exact_rational_reference_within_a_derived_error_bound(cell):
     """Each float is taken as its exact rational; ``Fraction`` gives the exact products
@@ -372,10 +378,11 @@ def test_classify_matches_an_exact_rational_reference_within_a_derived_error_bou
     which holds while ``k < 1``.  Away from underflow ``E_i = u |P_i|``, so the bound is
     about ``|rho_i| (2u + k) / (1 - k)`` with ``k ~ 3u sum|P_i| / |V|``; past the
     ``SINGULAR_REL_TOL = 1e-14`` guard, ``|D| > 1e-14 max|p_i|`` gives ``|V| >~ 9e-15
-    max|P_i|`` and so ``k <~ 0.11``.  Where ``V`` is a few least subnormals (all three
-    ``|v_i|`` near 1e-162) the guard lets through cells with ``k >= 1``, whose ``r_i``
-    carry no error bound; ROADMAP item 11 records one.  The bound is evaluated in
-    ``Fraction``, with no rounding of its own.
+    max|P_i|`` and so ``k <~ 0.11``.  Where products underflow, ``E_i <= u |P_i| + t``,
+    and ``compute_equilibrium`` also refuses ``|D| < 2**-1022``, so ``3t <= 3u |D|`` and
+    ``k`` stays ``<~ 0.11``.  Without that floor a ``V`` of a few least subnormals (all
+    three ``|v_i|`` near 1e-162) gave ``k >= 1``, and ``r_i`` with no correct digit.  The
+    bound is evaluated in ``Fraction``, with no rounding of its own.
     """
     v = tuple(map(Fraction, cell))
     products = (v[1] * v[2], v[0] * v[2], v[0] * v[1])

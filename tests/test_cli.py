@@ -335,7 +335,8 @@ def test_axis_sweep_streams_the_grid_into_sweep(capsys, monkeypatch):
     (cells,) = products
     assert iter(cells) is cells  # a one-shot iterator ...
     assert next(cells, None) is None  # ... that the chunks read to its end
-    assert [len(chunk) for chunk in chunks] == [8, 8, 5]  # one sweep call per chunk
+    # the settings check, then one sweep call per chunk
+    assert [len(chunk) for chunk in chunks] == [0, 8, 8, 5]
     axes = (_axis("-0.3:0.3:0.1"), [0.2], _axis("-0.1:0.1:0.1"))
     assert rows == sweep(list(itertools.product(*axes)), 0, SimplexPoint(0.5, 0.3, 0.2),
                          simulate=True)
@@ -693,6 +694,9 @@ ARGV_ERRORS = [
     (("equilibrium", "--config", "{nokey}"), 2, ":1: empty key"),
     # joined into --v=-.5,1,1, which reaches the equilibrium check
     (("equilibrium", "--v", "-.5,1,1"), 3, "no unique equilibrium"),
+    # every pairwise product underflows, and V = -5e-324 is all rounding
+    (("equilibrium", "--v=-2.3494635800381015e-162,-4.656468321295535e-162,"
+      "2.0129455232895262e-162"), 3, "no unique equilibrium"),
     # argparse would match an abbreviation to --config, whose file is never read
     (("equilibrium", "--v", "0.1,0.1,0.1", "--conf", "{missing}"), 2,
      "--config must be spelled in full"),

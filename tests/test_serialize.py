@@ -302,8 +302,10 @@ def test_write_table_raises_on_a_value_outside_a_table_before_writing_its_chunk(
 
 @pytest.mark.parametrize("emit, texts", [
     (write_table_json, [(1, 2)]),
+    (lambda out, header, rows: serialize.write_table(out, "json", header, rows, single=True),
+     [(1, 2)]),
     (serialize.sweep_to_json, [serialize.json_body(["x", "y"], [(1, 2)])]),
-], ids=["write_table", "sweep_to_json"])
+], ids=["write_table", "write_table-single", "sweep_to_json"])
 def test_json_writers_reject_repeated_column_names_before_writing(emit, texts):
     stream = RecordingStream()
     with pytest.raises(ValueError, match="distinct"):

@@ -337,10 +337,10 @@ sampling._POOL_MIN_STAGES = 0
 parent = os.getpid()
 
 def killing(fn):
-    def task(*args):
+    def task(*args, **kwargs):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return fn(*args)
+        return fn(*args, **kwargs)
     return task
 
 def children_left():
@@ -350,7 +350,7 @@ def children_left():
         return 0
     return 1
 
-cli._sweep_text = killing(cli._sweep_text)
+cli.sweep = killing(cli.sweep)
 sampling._run_chunk = killing(sampling._run_chunk)
 code = cli.main(json.loads(sys.argv[1]))
 sys.stdout.flush()
