@@ -35,7 +35,7 @@ from .core import (
 
 BOUNDARY_TOL = 1e-12
 DEFAULT_WINDOW = 10
-# Brent's span in estimate_limit stops doubling here; a longer period is not skipped.
+# estimate_limit keeps a cycle checkpoint every _CYCLE_SPAN steps; a longer period is not skipped.
 _CYCLE_SPAN = 16
 
 
@@ -163,17 +163,16 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     Many cells of the clamped map lock into an exact periodic orbit and
     never converge (periods 2, 4, 6 and 8 occur on the reference grids, and
     10 off them).  The step is a pure function of the state, so once the
-    state at step ``k`` repeats bit for bit the one ``L`` steps earlier
-    (found with Brent's cycle detection) and each of those ``L`` steps moved
-    by more than ``tol``, the outcome is fixed: only the
-    ``(max_steps - k) % L`` steps needed to read off the final state and
-    increment are taken.  The result is identical to stepping to the end;
-    in particular ``steps_used`` still reports ``max_steps``.  A cycle with
-    a step within ``tol`` keeps the normal loop.  Brent's span doubles only
-    up to 16 steps and then moves every 16 steps, so a cycle of period
-    ``L <= 16`` is seen within ``16 + L`` steps of the orbit's first exact
-    repeat.  A longer period is not skipped: it steps to ``max_steps``,
-    with the same result.
+    state at step ``k`` repeats bit for bit the checkpoint taken ``L`` steps
+    earlier and each of those ``L`` steps moved by more than ``tol``, the
+    outcome is fixed: only the ``(max_steps - k) % L`` steps needed to read
+    off the final state and increment are taken.  The result is identical
+    to stepping to the end; in particular ``steps_used`` still reports
+    ``max_steps``.  A cycle with a step within ``tol`` keeps the normal
+    loop.  A checkpoint is kept every 16 steps (the start, then steps 15,
+    31, 47, ...), so a cycle of period ``L <= 16`` is seen within
+    ``16 + L`` steps of the orbit's first exact repeat.  A longer period
+    is not skipped: it steps to ``max_steps``, with the same result.
     """
     coordinate = _check_coordinate(coordinate)
     max_steps, window = _check_limit_settings(tol, max_steps, window)
@@ -181,11 +180,8 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     rows = build_regression_matrix(params)
     quiet = 0
     last_quiet = 0  # last step whose increment was within tol
-    delta = float("inf")
-    # Brent: ``saved`` is the state ``lam`` steps back; it jumps forward
-    # whenever ``lam`` reaches ``power``, and ``power`` doubles up to _CYCLE_SPAN.
-    saved = state
-    power = lam = 1
+    saved = state  # the checkpoint, taken at step ``at``
+    at = 0
     a, b, c = state
     k = 0
     while k < max_steps:
@@ -194,23 +190,19 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
         x, y, z = state
         delta = max(abs(x - a), abs(y - b), abs(z - c))
         a, b, c = x, y, z
-        if delta == 0.0:
-            return LimitEstimate(state[coordinate], True, k, delta)
         if delta <= tol:
             quiet += 1
-            if quiet >= window:
+            if quiet >= window or delta == 0.0:
                 return LimitEstimate(state[coordinate], True, k, delta)
             last_quiet = k
         else:
             quiet = 0
         if state == saved:
-            if last_quiet <= k - lam:
-                k = max_steps - (max_steps - k) % lam
-        elif lam == power:
+            if last_quiet <= at:
+                k = max_steps - (max_steps - k) % (k - at)
+        elif k % _CYCLE_SPAN == _CYCLE_SPAN - 1:
             saved = state
-            power = min(2 * power, _CYCLE_SPAN)
-            lam = 0
-        lam += 1
+            at = k
     return LimitEstimate(state[coordinate], False, max_steps, delta)
 
 

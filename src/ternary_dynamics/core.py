@@ -215,15 +215,18 @@ def compute_equilibrium(params):
     Raises :class:`NoEquilibriumError` when the denominator is zero relative
     to the largest pairwise product, so catastrophic cancellation never
     manufactures a spurious equilibrium, when it is below the least normal
-    double, or when it is not finite (pairwise products that overflow to
-    opposite infinities sum to NaN, and finite ones near the top of the float
-    range can sum to infinity).  Why both floors: a product is rounded by at
-    most ``u = 2**-53`` of itself, or by up to ``2**-1075`` outright where it
-    underflows, and the two sums by ``u`` of their terms, so the float ``V``
-    is off by at most ``3u sum|v_i v_j| + 3 * 2**-1075``.  The relative test
-    keeps the first term below ``9e14 u |V|``, about ``0.1 |V|``; only
+    double while a product is too, or when it is not finite (pairwise
+    products that overflow to opposite infinities sum to NaN, and finite ones
+    near the top of the float range can sum to infinity).  Why both floors: a
+    product is rounded by at most ``u = 2**-53`` of itself, or by up to
+    ``2**-1075`` outright where it is below ``2**-1022``, and the two sums by
+    ``u`` of their terms (a sum whose result is subnormal is exact), so the
+    float ``V`` is off by at most ``3u sum|v_i v_j|``, plus up to
+    ``3 * 2**-1075`` where a product is subnormal.  The relative test keeps
+    the first term below ``9e14 u |V|``, about ``0.1 |V|``; only
     ``|V| >= 2**-1022`` keeps the second below ``3u |V|``.  A smaller ``V``
-    can be all rounding, and its ``rho`` then has no correct digit.
+    can then be all rounding (with a zero factor, ``V`` is one such
+    product), and its ``rho`` has no correct digit.
 
     A float result skips :class:`Equilibrium`'s checks, which cannot fail
     for it: past the denominator test every ``|rho_i| < 1e14`` and their sum
@@ -242,7 +245,8 @@ def compute_equilibrium(params):
     denom = p12 + p02 + p01
     scale = max(abs(p12), abs(p02), abs(p01))
     if (not SINGULAR_REL_TOL * scale < abs(denom) < math.inf
-            or -_LEAST_NORMAL < denom < _LEAST_NORMAL):
+            or (-_LEAST_NORMAL < denom < _LEAST_NORMAL
+                and min(abs(p12), abs(p02), abs(p01)) < _LEAST_NORMAL)):
         raise NoEquilibriumError(f"no unique equilibrium: V = {denom!r} (v1*v2 + v0*v2 + "
                                  "v0*v1 is zero within rounding, subnormal or not finite)")
     values = (p12 / denom, p02 / denom, p01 / denom, denom, params)

@@ -20,11 +20,11 @@ the same bits for any CPU count, and there is no option for it: a process
 that may use one CPU or runs other threads, or a run too small to pay for
 starting the workers, runs every replication in the calling process.
 
-numpy is needed only here, and is imported on the first draw
-(:func:`replication_stream`), not with the package: ``import
-ternary_dynamics`` and the deterministic commands never load it.  A
-pooled run imports ``numpy.random`` before it forks its workers
-(:mod:`._pool`), so numpy is imported once, not once in every worker.
+numpy is needed only here, and is imported by a run or by
+:func:`replication_stream`, not with the package: ``import
+ternary_dynamics`` and the deterministic commands never load it.  A run
+imports ``numpy.random`` before any fork (:mod:`._pool`), so numpy is
+imported once, not once in every worker.
 """
 
 from collections import namedtuple
@@ -216,8 +216,7 @@ def _map_replications(rows, init, volumes, cfg, ref=None):
     # one chunk a CPU, or the whole volume in this process; no chunk is empty
     parts = min(max(workers, 1), reps)
     tasks = [(n, reps * i // parts, reps * (i + 1) // parts) for n in volumes for i in range(parts)]
-    if workers:
-        import numpy.random  # before the fork, once for every worker
+    import numpy.random  # before a fork, once for every worker
     with _pool.ordered_map(partial(_run_chunk, rows, init, seed, steps, ref), tasks,
                            workers) as results:
         chunks = list(results)

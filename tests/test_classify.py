@@ -352,6 +352,7 @@ def exact_scenario(v_m, rho_m):
 @example(cell=(5e-324, 0.75, 0.75))  # two products round up to the least subnormal
 @example(cell=(0.0, 1.0, 5e-324))  # V is the least subnormal: no equilibrium
 @example(cell=(-2e-323, 1.5e-322, 0.16679128018481126))  # a subnormal V: no equilibrium
+@example(cell=(1e-150, 1e-150, -5.000000005e-151))  # normal products, V subnormal: exact sum
 # every product underflows: rho was (2, 1, -2) against the exact (2.96, 1.50, -3.46), k = 2.3
 @example(cell=(-2.3494635800381015e-162, -4.656468321295535e-162, 2.0129455232895262e-162))
 @example(cell=(0.5, -0.25, 0.25))  # rho0 = 1 exactly: v1 = -v2
@@ -378,11 +379,12 @@ def test_classify_matches_an_exact_rational_reference_within_a_derived_error_bou
     which holds while ``k < 1``.  Away from underflow ``E_i = u |P_i|``, so the bound is
     about ``|rho_i| (2u + k) / (1 - k)`` with ``k ~ 3u sum|P_i| / |V|``; past the
     ``SINGULAR_REL_TOL = 1e-14`` guard, ``|D| > 1e-14 max|p_i|`` gives ``|V| >~ 9e-15
-    max|P_i|`` and so ``k <~ 0.11``.  Where products underflow, ``E_i <= u |P_i| + t``,
-    and ``compute_equilibrium`` also refuses ``|D| < 2**-1022``, so ``3t <= 3u |D|`` and
-    ``k`` stays ``<~ 0.11``.  Without that floor a ``V`` of a few least subnormals (all
-    three ``|v_i|`` near 1e-162) gave ``k >= 1``, and ``r_i`` with no correct digit.  The
-    bound is evaluated in ``Fraction``, with no rounding of its own.
+    max|P_i|`` and so ``k <~ 0.11``; this holds for a subnormal ``D`` too, since a sum
+    whose result is subnormal is exact.  Where a product underflows, ``E_i <= u |P_i| +
+    t``, and ``compute_equilibrium`` then also refuses ``|D| < 2**-1022``, so ``3t <= 3u
+    |D|`` and ``k`` stays ``<~ 0.11``.  Without that floor a ``V`` of a few least
+    subnormals (all three ``|v_i|`` near 1e-162) gave ``k >= 1``, and ``r_i`` with no
+    correct digit.  The bound is evaluated in ``Fraction``, with no rounding of its own.
     """
     v = tuple(map(Fraction, cell))
     products = (v[1] * v[2], v[0] * v[2], v[0] * v[1])

@@ -3,9 +3,9 @@
 The exact-cycle shortcut in ``estimate_limit`` may skip steps but never
 change a result: every field of the returned ``LimitEstimate`` (checked
 through ``repr``) and every ``DegenerateClampError`` must match a plain
-loop over the same clamped step, whatever Brent's span cap
-(``_CYCLE_SPAN``) is.  The cap only decides how soon a cycle is seen, and
-so how many clamped steps are taken; those counts are pinned here.
+loop over the same clamped step, whatever the spacing of its cycle
+checkpoints (``_CYCLE_SPAN``) is.  The spacing only decides how soon a cycle
+is seen, and so how many clamped steps are taken; those counts are pinned here.
 """
 
 import functools
@@ -121,7 +121,7 @@ def test_estimate_limit_matches_plain_stepping(v, init, coordinate, max_steps, t
     window=st.integers(1, 20),
 )
 def test_cycle_span_changes_only_speed(span, v, init, coordinate, max_steps, tol, window):
-    # span 1 never sees a cycle, 2 sees only period 2, and 2**62 doubles without a cap
+    # span 1 never sees a cycle, 2 sees only period 2, and 2**62 keeps only the start
     with mock.patch.object(CLASSIFY, "_CYCLE_SPAN", span):
         (fast, steps), plain = outcomes(v, init, coordinate, tol, max_steps, window)
     assert fast == plain
@@ -129,10 +129,10 @@ def test_cycle_span_changes_only_speed(span, v, init, coordinate, max_steps, tol
 
 
 @functools.cache
-def first_repeat(cell):
-    """``(step, period)`` of the first state of the plain orbit from REFERENCE_INIT seen before."""
+def first_repeat(cell, init=REFERENCE_INIT):
+    """``(step, period)`` of the first state of the plain orbit from ``init`` seen before."""
     rows = build_regression_matrix(DirectingParams(*cell))
-    state = (REFERENCE_INIT.p0, REFERENCE_INIT.p1, REFERENCE_INIT.p2)
+    state = (init.p0, init.p1, init.p2)
     seen = {state: 0}
     for k in itertools.count(1):
         state = _clamped_step(rows, state)
@@ -156,9 +156,9 @@ def test_cycle_found_at_or_near_max_steps(cell, max_steps):
     (fast, steps), plain = outcomes(cell, REFERENCE_INIT, 0, 1e-10, max_steps, 10)
     assert fast == plain
     assert plain[1:3] == ("False", repr(max_steps))
-    # Brent sees the cycle at most _CYCLE_SPAN + period steps after the orbit
-    # first repeats a state, then steps only as far as the phase of max_steps
-    # within the cycle
+    # A checkpoint every _CYCLE_SPAN steps sees the cycle at most _CYCLE_SPAN + period
+    # steps after the orbit first repeats a state, then steps only as far as the phase
+    # of max_steps within the cycle
     repeat, period = first_repeat(cell)
     assert period == (4 if cell in PERIOD_4_CELLS else 2)
     sighted = SIGHTING[cell]
@@ -166,9 +166,29 @@ def test_cycle_found_at_or_near_max_steps(cell, max_steps):
     assert steps == min(max_steps, sighted + (max_steps - sighted) % period)
 
 
+# The orbit first repeats at step 9, with period 2, before the first checkpoint after the
+# start (which is off the cycle): the checkpoint at step 15 sees it at step 17.
+EARLY_CYCLE = (0.83, 0.33, 0.72)
+EARLY_CYCLE_INIT = SimplexPoint(0.58, 0.42, 0.0)
+
+
+@pytest.mark.parametrize("max_steps, value, steps", [
+    (10_000, "0.49761633352310125", 18),
+    (10_001, "0.0", 17),
+])
+def test_cycle_that_repeats_before_the_first_checkpoint(max_steps, value, steps):
+    (fast, taken), plain = outcomes(EARLY_CYCLE, EARLY_CYCLE_INIT, 0, 1e-10, max_steps, 10)
+    assert fast == plain == (value, "False", repr(max_steps), "0.4978394705457506")
+    repeat, period = first_repeat(EARLY_CYCLE, EARLY_CYCLE_INIT)
+    assert (repeat, period) == (9, 2)
+    sighted = 17
+    assert repeat <= sighted <= repeat + CLASSIFY._CYCLE_SPAN + period
+    assert taken == steps == sighted + (max_steps - sighted) % period
+
+
 @pytest.mark.parametrize("axis, steps", [
-    ("-0.9:0.9:0.18", 26826),  # the benchmark's 11^3 grid; 31,194 with an uncapped span
-    ("-0.9:0.9:0.09", 178319),  # ROADMAP's 21^3 grid; 190,043 with an uncapped span
+    ("-0.9:0.9:0.18", 26826),  # the benchmark's 11^3 grid
+    ("-0.9:0.9:0.09", 178319),  # ROADMAP's 21^3 grid
 ])
 def test_sweep_clamped_step_count(axis, steps):
     values = _axis(axis)
