@@ -45,7 +45,11 @@ class DegenerateClampError(ModelError):
 
 
 def _finite_floats(cls, values):
-    values = tuple(map(float, values))
+    try:
+        values = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(
+            f"{cls.__name__} components must be numbers that fit a double: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise InvalidInputError(f"{cls.__name__} components must be finite, got {values}")
     return values
@@ -197,7 +201,12 @@ def build_regression_matrix(params):
 
     The parameters are read as floats, so the kernel steps in double precision.
     """
-    v0, v1, v2 = map(float, params)
+    v0, v1, v2 = params
+    try:
+        v0, v1, v2 = float(v0), float(v1), float(v2)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(
+            f"directing parameters must be numbers that fit a double: {exc}") from None
     d0, d1, d2 = 2.0 * v0, 2.0 * v1, 2.0 * v2
     # Each off-diagonal entry -v_n is finite whenever the diagonal 2*v_n is.
     if not (math.isfinite(d0) and math.isfinite(d1) and math.isfinite(d2)):
@@ -217,7 +226,8 @@ def compute_equilibrium(params):
     manufactures a spurious equilibrium, when it is below the least normal
     double while a product is too, or when it is not finite (pairwise
     products that overflow to opposite infinities sum to NaN, and finite ones
-    near the top of the float range can sum to infinity).  Why both floors: a
+    near the top of the float range can sum to infinity; exact int or
+    fraction products are held to the same range).  Why both floors: a
     product is rounded by at most ``u = 2**-53`` of itself, or by up to
     ``2**-1075`` outright where it is below ``2**-1022``, and the two sums by
     ``u`` of their terms (a sum whose result is subnormal is exact), so the
@@ -244,13 +254,20 @@ def compute_equilibrium(params):
     p01 = v0 * v1
     denom = p12 + p02 + p01
     scale = max(abs(p12), abs(p02), abs(p01))
-    if (not SINGULAR_REL_TOL * scale < abs(denom) < math.inf
-            or (-_LEAST_NORMAL < denom < _LEAST_NORMAL
-                and min(abs(p12), abs(p02), abs(p01)) < _LEAST_NORMAL)):
-        raise NoEquilibriumError(f"no unique equilibrium: V = {denom!r} (v1*v2 + v0*v2 + "
-                                 "v0*v1 is zero within rounding, subnormal or not finite)")
-    values = (p12 / denom, p02 / denom, p01 / denom, denom, params)
-    return tuple.__new__(Equilibrium, values) if type(denom) is float else Equilibrium(*values)
+    try:
+        if (not SINGULAR_REL_TOL * scale < abs(denom) < math.inf
+                or (-_LEAST_NORMAL < denom < _LEAST_NORMAL
+                    and min(abs(p12), abs(p02), abs(p01)) < _LEAST_NORMAL)):
+            raise NoEquilibriumError(f"no unique equilibrium: V = {denom!r} (v1*v2 + v0*v2 + "
+                                     "v0*v1 is zero within rounding, subnormal or not finite)")
+        values = (p12 / denom, p02 / denom, p01 / denom, denom, params)
+        if type(denom) is float:
+            return tuple.__new__(Equilibrium, values)
+        float(denom)  # an exact V, an int or a Fraction, past the double range overflows
+    except OverflowError:  # so does an exact product past it, in the guard
+        raise NoEquilibriumError("no unique equilibrium: V = v1*v2 + v0*v2 + v0*v1 or one "
+                                 "of its products is too large for a double") from None
+    return Equilibrium(*values)
 
 
 def to_fluctuation(state, eq):

@@ -14,7 +14,7 @@ order under the header (:func:`table_format` picks the pair).
 in other processes too.  No writer builds or returns the document.  A
 tuple cell (the ``flags`` column) is ``;``-joined in CSV and a list in
 JSON.  Within one chunk, a repeated float is formatted once, from a
-bounded map.
+bounded map that stops storing when full.
 """
 
 import csv
@@ -28,32 +28,28 @@ from .classify import SweepRow
 
 _float_repr = float.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Entries a chunk's float-text map holds before it starts over.  A 2,000-row chunk
+# Entries a chunk's float-text map holds: past this it stops storing.  A 2,000-row chunk
 # of the 41^3 grid has at most 2,921 distinct nonzero finite floats, so a pooled chunk
-# never starts over; at ~100 bytes an entry the map stays near 0.4 MB, where 16,384
+# never fills it; at ~100 bytes an entry the map stays near 0.4 MB, where 16,384
 # entries (~1.7 MB) would exceed 5% of a 22 MiB run.  1,024 to 16,384 timed alike.
 _FLOAT_TEXTS_MAX = 4096
 _CHUNK_ROWS = 2000  # rows write_table formats as one string, as a classify-only sweep does
 
 
-def format_float(value):
-    return repr(float(value))
-
-
 def _float_text(texts, value, nonfinite=None):
     """The text of ``value``, kept in one chunk's map ``texts`` when nonzero and finite.
 
-    ``texts`` is emptied at ``_FLOAT_TEXTS_MAX`` entries.  Zeros are not
-    kept, so ``0.0`` and ``-0.0`` (equal keys) never share a text; a NaN or
-    an infinity reads ``nonfinite[repr]`` when that exists.  Look up exact
-    floats only: a subclass may redefine equality.
+    ``texts`` stops storing at ``_FLOAT_TEXTS_MAX`` entries, which a pooled
+    chunk of the 41^3 grid never reaches; a float not in it is formatted
+    each time.  Zeros are not kept, so ``0.0`` and ``-0.0`` (equal keys)
+    never share a text; a NaN or an infinity reads ``nonfinite[repr]`` when
+    that exists.  Pass and look up exact floats only: a subclass may
+    redefine equality.
     """
     text = _float_repr(value)
     if not math.isfinite(value):
         return nonfinite.get(text, text) if nonfinite else text
-    if value:
-        if len(texts) >= _FLOAT_TEXTS_MAX:
-            texts.clear()
+    if value and len(texts) < _FLOAT_TEXTS_MAX:
         texts[value] = text
     return text
 
@@ -67,7 +63,7 @@ def _cell(value):
         return str(value)
     if isinstance(value, tuple):
         return ";".join(value)
-    return format_float(value)
+    return _float_repr(float(value))
 
 
 def _csv_rows(rows):
@@ -99,9 +95,7 @@ def _json_objects(header, rows, pad):
             if type(value) is float:
                 text = floats.get(value) or _float_text(floats, value, _NONFINITE)
             elif isinstance(value, float):
-                text = _float_repr(value)
-                if text in _NONFINITE:
-                    text = _NONFINITE[text]
+                text = _float_text(floats, float.__float__(value), _NONFINITE)
             elif value is None:
                 text = "null"
             elif isinstance(value, str):

@@ -1,10 +1,21 @@
-"""Helpers shared by the worker-process tests of ``test_workers.py`` and ``test_sampling.py``."""
+"""Helpers shared by test modules.
+
+The worker-process checks serve ``test_workers.py`` and ``test_sampling.py``;
+``interior_starts`` serves the hypothesis tests of ``test_core.py`` and
+``test_classify.py``.
+"""
 
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 import ternary_dynamics._pool
+from ternary_dynamics import SimplexPoint
+
+# Simplex points with every component positive.
+interior_starts = st.tuples(*[st.floats(1e-9, 1.0)] * 3).map(
+    lambda w: SimplexPoint(*(x / sum(w) for x in w)))
 
 
 def _recording_pools(monkeypatch):

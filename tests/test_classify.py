@@ -32,8 +32,11 @@ from ternary_dynamics import (
     sweep,
 )
 from ternary_dynamics import cli
+from ternary_dynamics.classify import DEFAULT_WINDOW
 from ternary_dynamics.cli import _axis
 from ternary_dynamics.serialize import SWEEP_HEADER, write_table
+
+from conftest import interior_starts
 
 
 def emitted(emit, *args, **kwargs):
@@ -531,6 +534,46 @@ def test_agreement_attractive_random_family():
             assert est.converged
             assert abs(est.value - eq.rho[m]) <= 1e-6
     assert excluded == 0
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(cell=cube_cells, init=interior_starts)
+@example(cell=(-0.9, 0.09, 0.09), init=SimplexPoint(0.5, 0.3, 0.2))  # predicts (1, .526, .526)
+@example(cell=(0.1, -1.0, -1.0), init=SimplexPoint(1 / 3, 1 / 3, 1 / 3))  # ends at (0, .5, .5)
+@example(cell=(-1e-05, 0.26144390386838917, 1e-06),  # not converged in 10,000 steps
+         init=SimplexPoint(0.5970299505343377, 0.40297004792433727, 1.5413250871865515e-09))
+@example(cell=(-2.665518189104184e-118,) * 3,  # no step moves the start
+         init=SimplexPoint(0.059735703619015576, 0.5427271591465959, 0.39753713723438844))
+def test_an_inconsistent_vector_prediction_ends_at_a_vertex(cell, init):
+    """PAPER.md analyses a ternary experiment as one three-dimensional vector.
+
+    The three one-coordinate predictions of a cell need not form a probability
+    vector.  Where they do not sum to 1 (within 1e-9), the clamped limit is a
+    vertex: each coordinate's estimated limit is 0 or 1, and exactly one is 1.
+    This held on every such cell of 40,000 uniform cube cells.  Two kinds of
+    cell are counterexamples, recorded under ROADMAP item 12, and no other:
+
+    * a symmetric one, ``v_i = v_j`` with ``p_i = p_j`` at the start (within
+      an ulp of 1): the exact map keeps ``p_i = p_j``, so no vertex of ``i`` or
+      ``j`` is reached; it ends at the midpoint of their edge, for one;
+    * one that ``estimate_limit`` does not follow to its limit: it does not
+      converge in ``max_steps``, or every step of its first ``window`` moves
+      by at most ``tol`` (with ``|v|`` near 1e-118 no step moves the start).
+    """
+    params = DirectingParams(*cell)
+    try:
+        predicted = [classify(params, m).resolve_limit(init[m]) for m in range(3)]
+    except (NoEquilibriumError, BoundaryCaseError, UnresolvedPredictionError):
+        return
+    if abs(sum(predicted) - 1.0) <= 1e-9:
+        return
+    estimates = [estimate_limit(params, init, m) for m in range(3)]
+    if sorted(e.value for e in estimates) == [0.0, 0.0, 1.0]:
+        return
+    symmetric = any(cell[i] == cell[j] and abs(init[i] - init[j]) <= 2.0 ** -52
+                    for i, j in itertools.combinations(range(3), 2))
+    unsettled = not estimates[0].converged or estimates[0].steps_used <= DEFAULT_WINDOW
+    assert symmetric or unsettled
 
 
 # ------------------------------------------------------------------ sweep

@@ -16,18 +16,26 @@ from ternary_dynamics import (
     InvalidInputError,
     NoEquilibriumError,
     RawState,
+    SampleConfig,
     SimplexPoint,
     build_regression_matrix,
+    classify,
     compute_equilibrium,
     contraction_factor,
     estimate_limit,
+    lln_diagnostic,
     reduced_matrix,
+    replication_stream,
+    run_replications,
     step_clamped,
     step_raw,
+    stochastic_step,
     to_fluctuation,
     trajectory,
 )
 from ternary_dynamics.core import _clamped_step
+
+from conftest import interior_starts
 
 
 def random_simplex(rng):
@@ -179,6 +187,59 @@ def test_matrix_rejects_nonfinite_entries_from_unvalidated_params(bad):
         estimate_limit((0.1, 0.1, bad), init)
 
 
+# Components that are not numbers, or do not fit a double.
+NOT_DOUBLES = [
+    pytest.param(None, id="None"),
+    pytest.param("x", id="str"),
+    pytest.param(10**400, id="int"),
+    pytest.param(-(10**400), id="negative-int"),
+    pytest.param(Fraction(10**400, 3), id="Fraction"),
+]
+VALUE_TYPES = {
+    "DirectingParams": lambda bad: DirectingParams(bad, 0.0, 0.0),
+    "DirectingParams-unbounded": lambda bad: DirectingParams(0.0, bad, 0.0, bound_check=False),
+    "SimplexPoint": lambda bad: SimplexPoint(0.5, bad, 0.5),
+    "RawState": lambda bad: RawState(0.5, 0.5, bad),
+    "FluctuationVector": lambda bad: FluctuationVector(bad, 0.0, 0.0),
+    "Equilibrium": lambda bad: Equilibrium(0.5, 0.5, 0.0, bad, None),
+}
+# Every entry that reads a parameter triple and a state, as a call of (params, state).
+ENTRIES = {
+    "step_raw": step_raw,
+    "step_clamped": step_clamped,
+    "trajectory-raw": lambda v, p: trajectory(v, p, 3),
+    "trajectory-clamped": lambda v, p: trajectory(v, p, 3, mode="clamped"),
+    "estimate_limit": estimate_limit,
+    "stochastic_step": lambda v, p: stochastic_step(v, p, 10, replication_stream(0, 0)),
+    "run_replications": lambda v, p: run_replications(v, p, SampleConfig(10, 2, 0, 3)),
+    "lln_diagnostic": lambda v, p: lln_diagnostic(v, p, [10], SampleConfig(10, 2, 0, 3)),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_DOUBLES)
+@pytest.mark.parametrize("build", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_a_value_type_of_a_component_that_is_not_a_double_raises_invalid_input(build, bad):
+    # it raised TypeError, ValueError or OverflowError from float()
+    with pytest.raises(InvalidInputError, match="components must be numbers that fit a double"):
+        build(bad)
+
+
+@pytest.mark.parametrize("bad", NOT_DOUBLES)
+@pytest.mark.parametrize("entry", [build_regression_matrix, *ENTRIES.values()],
+                         ids=["build_regression_matrix", *ENTRIES])
+def test_parameters_that_are_not_doubles_raise_invalid_input(entry, bad):
+    args = () if entry is build_regression_matrix else (SimplexPoint(0.5, 0.3, 0.2),)
+    with pytest.raises(InvalidInputError, match="parameters must be numbers that fit a double"):
+        entry((0.1, bad, 0.1), *args)
+
+
+@pytest.mark.parametrize("bad", NOT_DOUBLES)
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+def test_a_state_with_a_component_that_is_not_a_double_raises_invalid_input(entry, bad):
+    with pytest.raises(InvalidInputError, match="components must be numbers that fit a double"):
+        entry((0.1, 0.1, 0.1), (0.5, bad, 0.5))
+
+
 _MATRIX_EDGES = (0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 8.98846567431158e307,
                  math.nextafter(8.98846567431158e307, 0.0), math.inf, -math.inf, math.nan,
                  5e-324, 1.7976931348623157e308)
@@ -252,6 +313,26 @@ def test_equilibrium_infinite_denominator():
         compute_equilibrium(DirectingParams(1e154, 1e154, 1e154, bound_check=False))
     with pytest.raises(NoEquilibriumError, match="V = -inf"):
         compute_equilibrium((1.0, 1.0, -1.7e308))
+
+
+@pytest.mark.parametrize("params", [
+    (10**200,) * 3,  # the products do not fit a double
+    (2**1100, 1, 1),
+    (1, 1, -(10**400)),
+    (Fraction(10**200),) * 3,
+    (10**154,) * 3,  # the products fit, their sum V does not
+])
+def test_exact_products_past_the_double_range_have_no_equilibrium(params):
+    # as float parameters whose V overflows; these raised OverflowError
+    with pytest.raises(NoEquilibriumError):
+        compute_equilibrium(params)
+    with pytest.raises(NoEquilibriumError):
+        classify(params, 0)
+
+
+def test_exact_products_within_the_double_range_have_their_equilibrium():
+    assert compute_equilibrium((10**150,) * 3).rho == (1 / 3, 1 / 3, 1 / 3)
+    assert classify((2**500, 1, 1), 1).rho_m == 0.5
 
 
 def test_equilibrium_float32_result_is_still_checked():
@@ -477,6 +558,88 @@ def test_trajectory_argument_validation():
         trajectory(params, init, 3, mode="bogus")
     with pytest.raises(InvalidInputError):
         trajectory(params, RawState(1.5, -0.25, -0.25), 3, mode="clamped")
+
+
+def _exponent(x):
+    """The ``e`` of the float ``x`` as an integer over ``2**e``, in lowest terms."""
+    return x.as_integer_ratio()[1].bit_length() - 1
+
+
+def _scaled(x, s):
+    """The float ``x`` times ``2**s``, an integer for any ``s >= _exponent(x)``."""
+    n, d = x.as_integer_ratio()
+    return n << (s - d.bit_length() + 1)
+
+
+def _dot(row, x):
+    return row[0] * x[0] + row[1] * x[1] + row[2] * x[2]
+
+
+def raw_bound_excess(rows, states):
+    """The first ``(k, i)`` where float raw states leave a derived bound of the exact ones.
+
+    ``states`` are the floats ``y_0, ..., y_n`` of the raw stepper on the float matrix
+    ``rows``, ``A``.  The exact replay takes ``A`` and ``y_0`` as exact rationals:
+    ``x_0 = y_0`` and ``x_{k+1} = x_k - A x_k``.  ``None`` when ``|y_k,i - x_k,i| <=
+    b_k,i`` throughout.
+
+    Bound.  ``_raw_step`` computes component ``i`` from ``y`` as ``y_i - ((a_i0 y_0 +
+    a_i1 y_1) + a_i2 y_2)``, in six roundings.  Each is ``(a op b)(1 + d) + e`` with ``|d|
+    <= u = 2**-53``, where ``e`` is zero except for a product with a subnormal result,
+    ``|e| <= t = 2**-1075`` (a sum whose result is subnormal is exact).  A product passes
+    at most four roundings and ``y_i`` one, so with ``gamma_4 = 4u / (1 - 4u)`` the step
+    is off the exact ``y - A y`` by at most ``l_i = gamma_4 (|y_i| + sum_j |a_ij| |y_j|) +
+    3t (1 + u)**3``.  The errors ``y_k - x_k`` are then the map ``I - A`` of the last ones
+    plus that step's, so, with ``b_0 = 0``::
+
+        b_{k+1,i} = sum_j |delta_ij - a_ij| b_k,j + l_i(y_k)
+
+    It carries the map's norm, which ``k u`` alone does not: over 40 steps of 1,500
+    uniform cube cells the error reached 144 k u max_i |y_k,i|.  The bound is evaluated
+    exactly, rounded up only by ``gamma_4 <= 2**-51 + 2**-101`` and ``3t (1 + u)**3 <=
+    4t``.  Every double is an integer over a power of two, so every value here is an
+    integer over ``2**s``, with ``s`` up by the rows' exponent a step: the rationals
+    ``Fraction`` gives, without its gcds (a ``Fraction`` replay alone took 11 times as
+    long as this whole check).
+    """
+    f = max(map(_exponent, itertools.chain.from_iterable(rows)))
+    s = max(map(_exponent, itertools.chain.from_iterable(states)))
+    a = [[_scaled(x, f) for x in row] for row in rows]
+    abs_a = [[abs(x) for x in row] for row in a]
+    abs_map = [[abs((i == j) * (1 << f) - a[i][j]) for j in range(3)] for i in range(3)]
+    exact = [_scaled(x, s) for x in states[0]]
+    bound = [0, 0, 0]
+    for k in range(1, len(states)):
+        y = [abs(_scaled(x, s)) for x in states[k - 1]]
+        s += f
+        terms = [(y[i] << f) + _dot(abs_a[i], y) for i in range(3)]
+        # ceilings of gamma_4 terms and 4t, at scale 2**s
+        bound = [_dot(abs_map[i], bound) - (-terms[i] >> 51) - (-terms[i] >> 101)
+                 - (-(1 << s) >> 1073) for i in range(3)]
+        exact = [(exact[i] << f) - _dot(a[i], exact) for i in range(3)]
+        for i in range(3):
+            if abs(_scaled(states[k][i], s) - exact[i]) > bound[i]:
+                return k, i
+    return None
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(cell=st.tuples(*[st.floats(-1.0, 1.0)] * 3), init=interior_starts)
+@example(cell=(5e-324, -1.0, 0.5), init=SimplexPoint(0.5, 0.3, 0.2))  # subnormal products
+def test_raw_trajectory_stays_within_a_derived_bound_of_an_exact_replay(cell, init):
+    params = DirectingParams(*cell)
+    assert raw_bound_excess(build_regression_matrix(params),
+                            trajectory(params, init, 40, mode="raw")) is None
+
+
+@pytest.mark.parametrize("cell", [(0.1, 0.2, 0.3), (-0.2, 0.5, -0.4), (0.01, -0.02, 0.03)])
+def test_the_raw_bound_catches_one_step_off_by_2_to_the_minus_50(cell):
+    params = DirectingParams(*cell)
+    init = SimplexPoint(0.5, 0.3, 0.2)
+    (_, y_1) = trajectory(params, init, 1, mode="raw")
+    off = RawState(*(c * (1.0 + 2.0 ** -50) for c in y_1))
+    states = [init, *trajectory(params, off, 39, mode="raw")]
+    assert raw_bound_excess(build_regression_matrix(params), states)[0] == 1
 
 
 # ----------------------------------------------------- reduced system

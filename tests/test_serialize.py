@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -46,9 +47,30 @@ def reparse_identical(text):
     return True
 
 
+class OddFloat(float):
+    """A float subclass with its own text and equality: written as the float it holds."""
+
+    def __repr__(self):
+        return "odd"
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0  # the hash of 0.0
+
+
 def test_format_float_round_trips():
-    for x in (0.45, 1 / 3, 0.1 + 0.2, 1e-9, -2.0000000000000013, 1.0, 0.0):
-        assert float(serialize.format_float(x)) == x
+    # a float cell is the repr of its float value, which parses back to that value
+    values = (0.45, 1 / 3, 0.1 + 0.2, 1e-9, -2.0000000000000013, 1.0, 0.0, OddFloat(0.5),
+              Fraction(1, 3))
+    texts = [repr(float(x)) for x in values]
+    assert serialize.csv_body([values]) == ",".join(texts) + "\n"
+    assert [float(text) for text in texts] == [float(x) for x in values]
+    # JSON takes no Fraction; the subclass's equality is never asked, so 0.0 keeps its text
+    rows = [(x,) for x in values[:-1] + (OddFloat(0.25), 0.0)]
+    assert serialize.json_body(["x"], rows) == ",\n  ".join(
+        '{\n    "x": %r\n  }' % float(x) for (x,) in rows)
 
 
 def test_trajectory_csv_round_trip_and_values():
@@ -260,10 +282,13 @@ def test_writers_give_every_repeat_of_a_value_its_own_text_in_long_tables(table)
 
 
 def test_the_float_text_map_stays_bounded():
+    # the map keeps the first _FLOAT_TEXTS_MAX distinct floats, then stops storing
     texts = {}
-    for k in range(3 * serialize._FLOAT_TEXTS_MAX):
-        assert serialize._float_text(texts, k + 0.5) == repr(k + 0.5)
+    values = [k + 0.5 for k in range(3 * serialize._FLOAT_TEXTS_MAX)]
+    for x in values:
+        assert serialize._float_text(texts, x) == repr(x)
         assert len(texts) <= serialize._FLOAT_TEXTS_MAX
+    assert texts == {x: repr(x) for x in values[:serialize._FLOAT_TEXTS_MAX]}
 
 
 @pytest.mark.parametrize("value", [np.int64(3), {1}, object()])
