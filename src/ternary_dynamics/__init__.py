@@ -11,14 +11,12 @@ command-line tool.
 """
 
 from .classify import (
-    AgreementCheck,
     BoundaryCaseError,
     LimitEstimate,
     Scenario,
     ScenarioReport,
     SweepRow,
     UnresolvedPredictionError,
-    check_agreement,
     classify,
     estimate_limit,
     sweep,
@@ -55,7 +53,6 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementCheck",
     "BoundaryCaseError",
     "DegenerateClampError",
     "DeviationRow",
@@ -75,7 +72,6 @@ __all__ = [
     "SweepRow",
     "UnresolvedPredictionError",
     "build_regression_matrix",
-    "check_agreement",
     "classify",
     "compute_equilibrium",
     "contraction_factor",

@@ -94,15 +94,6 @@ class LimitEstimate(NamedTuple):
     terminal_delta: float
 
 
-class AgreementCheck(NamedTuple):
-    """Comparison of a classified prediction against a simulated limit."""
-
-    agree: bool
-    predicted_limit: float
-    estimated_limit: float
-    difference: float
-
-
 def _check_coordinate(coordinate):
     coordinate = _count(coordinate, "coordinate")
     if coordinate not in (0, 1, 2):
@@ -147,8 +138,10 @@ def _check_limit_settings(tol, max_steps, window):
         raise InvalidInputError(f"tol must be positive, got {tol!r}")
     max_steps = _count(max_steps, "max_steps")
     window = _count(window, "window")
-    if max_steps < 1 or window < 1:
-        raise InvalidInputError("max_steps and window must be >= 1")
+    if max_steps < 1:
+        raise InvalidInputError(f"max_steps must be >= 1, got {max_steps}")
+    if window < 1:
+        raise InvalidInputError(f"window must be >= 1, got {window}")
     return max_steps, window
 
 
@@ -206,24 +199,6 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     return LimitEstimate(state[coordinate], False, max_steps, delta)
 
 
-def check_agreement(report, estimate, init, tol=1e-6):
-    """Compare a classified prediction against a simulated limit.
-
-    The repulsive prediction is resolved against the coordinate's initial
-    value; exact threshold starts raise :class:`UnresolvedPredictionError`.
-    """
-    if not tol > 0.0:
-        raise InvalidInputError(f"tol must be positive, got {tol!r}")
-    predicted = report.resolve_limit(init[report.coordinate])
-    difference = abs(estimate.value - predicted)
-    return AgreementCheck(
-        agree=difference <= tol,
-        predicted_limit=predicted,
-        estimated_limit=estimate.value,
-        difference=difference,
-    )
-
-
 class SweepRow(NamedTuple):
     """One grid cell of a scenario sweep; its field names are ``serialize.SWEEP_HEADER``."""
 
@@ -245,19 +220,17 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
           bound_check=True, tol=1e-10, max_steps=10000, agreement_tol=1e-6):
     """Classify every parameter triple in ``cells``; one row per cell, in input order.
 
-    ``cells`` may be any iterable of triples, such as
-    ``itertools.product(v0_values, v1_values, v2_values)``; it is read once.
+    ``cells`` is any iterable of triples, read once, such as ``itertools.product(v0s, v1s, v2s)``.
 
-    Cell-level failures become row markers (``no_equilibrium``, ``boundary``,
-    ``invalid_params``) instead of aborting the sweep.  With ``simulate``
-    the clamped limit is also estimated and compared to the prediction; a
-    cell whose limit cannot be estimated keeps its classification and is
-    flagged ``degenerate_clamp`` or ``matrix_overflow``.
-    Each row depends only on its own cell, so a sub-grid gives the same
-    rows as the matching rows of a larger grid.  ``coordinate``, ``init``, ``tol``,
-    ``max_steps`` and ``agreement_tol`` are checked before the first cell, with or without
-    ``simulate``, so ``sweep((), ...)`` checks every setting and returns ``[]``; a cell
-    that is not three numbers raises :class:`InvalidInputError` when the loop reaches it.
+    Cell-level failures become row markers (``no_equilibrium``, ``boundary``, ``invalid_params``)
+    instead of aborting the sweep.  With ``simulate`` the clamped limit is also estimated, and a
+    resolved prediction agrees with it within ``agreement_tol``; a cell whose limit cannot be
+    estimated keeps its classification and is flagged ``degenerate_clamp`` or ``matrix_overflow``.
+    Each row depends only on its own cell, so a sub-grid gives the same rows as the matching rows
+    of a larger grid.  ``coordinate``, ``init``, ``tol``, ``max_steps`` and ``agreement_tol`` are
+    checked before the first cell, with or without ``simulate``, so ``sweep((), ...)`` checks every
+    setting and returns ``[]``; a cell that is not three numbers raises :class:`InvalidInputError`
+    when the loop reaches it.
     """
     coordinate = _check_coordinate(coordinate)
     if not agreement_tol > 0.0:

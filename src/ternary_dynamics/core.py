@@ -373,10 +373,14 @@ def reduced_matrix(params):
     reduced step reproduces the (f0, f1) part of a full linear step.
     """
     v0, v1, v2 = params
-    return (
-        (-(2.0 * v0 + v2), v1 - v2),
-        (v0 - v2, -(2.0 * v1 + v2)),
-    )
+    try:
+        return (
+            (-(2.0 * v0 + v2), v1 - v2),
+            (v0 - v2, -(2.0 * v1 + v2)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(
+            f"directing parameters must be numbers that fit a double: {exc}") from None
 
 
 def contraction_factor(params):

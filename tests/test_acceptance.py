@@ -19,13 +19,13 @@ from ternary_dynamics import (
     SampleConfig,
     Scenario,
     SimplexPoint,
-    check_agreement,
     classify,
     compute_equilibrium,
     estimate_limit,
     lln_diagnostic,
     reduced_matrix,
     step_raw,
+    sweep,
     to_fluctuation,
     trajectory,
 )
@@ -114,8 +114,7 @@ def test_04_attractive_scenario():
         assert abs(states[60].p0 - 1 / 3) <= 1e-8
         estimate = estimate_limit(params, init, 0, tol=1e-10)
         assert estimate.converged
-        report = classify(params, 0)
-        assert check_agreement(report, estimate, init, tol=1e-6).agree
+        assert sweep([params], 0, init, simulate=True)[0].agreement == "agree"
 
 
 def test_05_repulsive_scenario():
@@ -139,17 +138,15 @@ def test_06_dominant_and_degenerate_scenarios():
         estimate = estimate_limit(dominant, init, 0, tol=1e-10, max_steps=10**4)
         assert estimate.converged
         assert abs(estimate.value - 1.0) <= 1e-6
-        report = classify(dominant, 0)
-        assert report.scenario is Scenario.DOMINANT
-        assert check_agreement(report, estimate, init, tol=1e-6).agree
+        assert classify(dominant, 0).scenario is Scenario.DOMINANT
+        assert sweep([dominant], 0, init, simulate=True)[0].agreement == "agree"
 
         degenerate = DirectingParams(0.3, -0.1, 0.2)
         estimate = estimate_limit(degenerate, init, 0, tol=1e-10, max_steps=10**4)
         assert estimate.converged
         assert abs(estimate.value - 0.0) <= 1e-6
-        report = classify(degenerate, 0)
-        assert report.scenario is Scenario.DEGENERATE
-        assert check_agreement(report, estimate, init, tol=1e-6).agree
+        assert classify(degenerate, 0).scenario is Scenario.DEGENERATE
+        assert sweep([degenerate], 0, init, simulate=True)[0].agreement == "agree"
 
 
 def test_07_partition_property():

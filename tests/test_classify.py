@@ -16,14 +16,12 @@ from ternary_dynamics import (
     DegenerateClampError,
     DirectingParams,
     InvalidInputError,
-    LimitEstimate,
     NoEquilibriumError,
     Scenario,
     ScenarioReport,
     SimplexPoint,
     SweepRow,
     UnresolvedPredictionError,
-    check_agreement,
     classify,
     compute_equilibrium,
     contraction_factor,
@@ -447,50 +445,42 @@ def test_estimate_limit_reports_non_convergence():
 def test_estimate_limit_validation():
     params = DirectingParams(*ATTRACTIVE)
     init = SimplexPoint(0.5, 0.3, 0.2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="tol must be positive, got 0.0"):
         estimate_limit(params, init, 0, tol=0.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="max_steps must be >= 1, got 0"):
         estimate_limit(params, init, 0, max_steps=0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="window must be >= 1, got 0"):
         estimate_limit(params, init, 0, window=0)
 
 
-# -------------------------------------------------------- check_agreement
+# ------------------------------------------------- agreement of sweep rows
 
 def test_agreement_attractive():
-    params = DirectingParams(*ATTRACTIVE)
-    init = SimplexPoint(0.5, 0.3, 0.2)
-    report = classify(params, 0)
-    est = estimate_limit(params, init, 0, tol=1e-10)
-    verdict = check_agreement(report, est, init, tol=1e-6)
-    assert verdict.agree
-    assert verdict.predicted_limit == pytest.approx(1 / 3, abs=1e-12)
+    row, = sweep([ATTRACTIVE], 0, SimplexPoint(0.5, 0.3, 0.2), simulate=True)
+    assert row.agreement == "agree"
+    assert row.predicted_limit == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_agreement_unresolved_at_exact_threshold():
     report = classify(DirectingParams(*REPULSIVE), 0)
     half = (1.0 - report.rho_m) / 2.0
     init = SimplexPoint(report.rho_m, half, half)
-    est = LimitEstimate(value=0.0, converged=True, steps_used=1, terminal_delta=0.0)
     with pytest.raises(UnresolvedPredictionError):
-        check_agreement(report, est, init, tol=1e-6)
+        report.resolve_limit(init[0])
+    row, = sweep([REPULSIVE], 0, init, simulate=True)
+    assert row.agreement is None and "unresolved_prediction" in row.flags
 
 
 def test_agreement_disagree_carries_both_values():
-    report = classify(DirectingParams(*DOMINANT), 0)
-    est = LimitEstimate(value=0.25, converged=True, steps_used=3, terminal_delta=0.0)
-    verdict = check_agreement(report, est, SimplexPoint(0.5, 0.3, 0.2), tol=1e-6)
-    assert not verdict.agree
-    assert verdict.predicted_limit == 1.0
-    assert verdict.estimated_limit == 0.25
+    row, = sweep([(-0.45, -0.9, 0.45)], 0, SimplexPoint(0.5, 0.3, 0.2), simulate=True)
+    assert (row.scenario, row.predicted_limit, row.simulated_limit, row.agreement) == (
+        "dominant", 1.0, 0.0, "disagree")
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_agreement_rejects_nonpositive_tol(tol):
-    report = classify(DirectingParams(*ATTRACTIVE), 0)
-    est = LimitEstimate(value=1 / 3, converged=True, steps_used=1, terminal_delta=0.0)
-    with pytest.raises(InvalidInputError, match="tol must be positive"):
-        check_agreement(report, est, SimplexPoint(0.5, 0.3, 0.2), tol=tol)
+    with pytest.raises(InvalidInputError, match="agreement_tol must be positive"):
+        sweep((), 0, SimplexPoint(0.5, 0.3, 0.2), agreement_tol=tol)
 
 
 def test_agreement_curated_families_match_predictions():
@@ -508,11 +498,8 @@ def test_agreement_curated_families_match_predictions():
                 continue
             if report.scenario is want:
                 cells.append(v)
-        for v in cells:
-            params = DirectingParams(*v)
-            report = classify(params, 0)
-            est = estimate_limit(params, init, 0, tol=1e-10, max_steps=10000)
-            assert check_agreement(report, est, init, tol=1e-6).agree
+        rows = sweep(cells, 0, init, simulate=True)
+        assert [row.agreement for row in rows] == ["agree"] * len(cells)
 
 
 def test_agreement_attractive_random_family():
@@ -530,9 +517,8 @@ def test_agreement_attractive_random_family():
         for _ in range(10):
             q = rng.uniform(0.05, 1.0, size=3)
             q = q / q.sum()
-            est = estimate_limit(params, SimplexPoint(*q), m, tol=1e-10, max_steps=20000)
-            assert est.converged
-            assert abs(est.value - eq.rho[m]) <= 1e-6
+            row, = sweep([params], m, SimplexPoint(*q), simulate=True, max_steps=20000)
+            assert (row.predicted_limit, row.agreement, row.flags) == (eq.rho[m], "agree", ())
     assert excluded == 0
 
 
@@ -610,7 +596,7 @@ def test_sweep_records_cell_errors_as_markers():
 @pytest.mark.parametrize("settings, message", [
     ({"tol": -1.0}, "tol must be positive, got -1.0"),
     ({"tol": math.nan}, "tol must be positive, got nan"),
-    ({"max_steps": 0}, "max_steps and window must be >= 1"),
+    ({"max_steps": 0}, "max_steps must be >= 1, got 0"),
     ({"max_steps": 1.5}, "max_steps must be an integer, got 1.5"),
 ], ids=["tol-1", "tol-nan", "max_steps-0", "max_steps-1.5"])
 def test_sweep_checks_limit_settings_before_the_first_cell(cells, simulate, settings, message):

@@ -461,7 +461,7 @@ def test_sweep_rejects_nonpositive_agreement_tol(capsys, tol):
 @pytest.mark.parametrize("cells", ["2,2,2", "0,0.1,0.1"])
 @pytest.mark.parametrize("setting, message", [
     (("--tol", "-1"), "error: tol must be positive, got -1.0"),
-    (("--max-steps", "0"), "error: max_steps and window must be >= 1"),
+    (("--max-steps", "0"), "error: max_steps must be >= 1, got 0"),
 ])
 def test_sweep_checks_tol_and_max_steps_when_no_cell_simulates(capsys, cells, setting, message):
     code, out, err = run(capsys, "sweep", "--cells", cells, "--init", "0.5,0.3,0.2", "--simulate",

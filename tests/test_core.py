@@ -224,11 +224,15 @@ def test_a_value_type_of_a_component_that_is_not_a_double_raises_invalid_input(b
         build(bad)
 
 
+# The entries that read a parameter triple alone.
+PARAMS_ONLY = [build_regression_matrix, reduced_matrix, contraction_factor]
+
+
 @pytest.mark.parametrize("bad", NOT_DOUBLES)
-@pytest.mark.parametrize("entry", [build_regression_matrix, *ENTRIES.values()],
-                         ids=["build_regression_matrix", *ENTRIES])
+@pytest.mark.parametrize("entry", [*PARAMS_ONLY, *ENTRIES.values()],
+                         ids=[*(entry.__name__ for entry in PARAMS_ONLY), *ENTRIES])
 def test_parameters_that_are_not_doubles_raise_invalid_input(entry, bad):
-    args = () if entry is build_regression_matrix else (SimplexPoint(0.5, 0.3, 0.2),)
+    args = () if entry in PARAMS_ONLY else (SimplexPoint(0.5, 0.3, 0.2),)
     with pytest.raises(InvalidInputError, match="parameters must be numbers that fit a double"):
         entry((0.1, bad, 0.1), *args)
 

@@ -1,7 +1,7 @@
 """The result and config records are named tuples.
 
-``ScenarioReport``, ``LimitEstimate``, ``AgreementCheck``, ``EmpiricalTrajectory``
-and ``DeviationRow`` are plain ``NamedTuple``s; ``SampleConfig`` validates on
+``ScenarioReport``, ``LimitEstimate``, ``EmpiricalTrajectory`` and
+``DeviationRow`` are plain ``NamedTuple``s; ``SampleConfig`` validates on
 every path that builds an instance.  ``reference_error`` restates its checks
 with the exact messages: each field is coerced with ``operator.index``, then
 the volume, replication count, step count and seed are range-checked.
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternary_dynamics import (
-    AgreementCheck,
     DeviationRow,
     DirectingParams,
     EmpiricalTrajectory,
@@ -114,8 +113,6 @@ def test_sample_config_copies_equal_the_original():
      "rho_m=0.3333333333333333, v_m=-0.5, predicted_limit=None, contraction_factor=2.5)"),
     (LimitEstimate(0.25, False, 10000, 0.5),
      "LimitEstimate(value=0.25, converged=False, steps_used=10000, terminal_delta=0.5)"),
-    (AgreementCheck(False, 0.5, 0.25, 0.25),
-     "AgreementCheck(agree=False, predicted_limit=0.5, estimated_limit=0.25, difference=0.25)"),
     (SampleConfig(True, 2, 1, 2),
      "SampleConfig(sample_volume=1, replications=2, seed=1, steps=2)"),
     (EmpiricalTrajectory(0, 1, 3, (0.5, 0.3, 0.2), ((2, 0, 1), (3, 0, 0))),
@@ -123,7 +120,8 @@ def test_sample_config_copies_equal_the_original():
      "counts=((2, 0, 1), (3, 0, 0)))"),
     (DeviationRow(2, 0.6415, 2),
      "DeviationRow(sample_volume=2, median_max_deviation=0.6415, replications=2)"),
-])
+], ids=["ScenarioReport-attractive", "ScenarioReport-repulsive", "LimitEstimate", "SampleConfig",
+        "EmpiricalTrajectory", "DeviationRow"])
 def test_repr(value, text):
     assert repr(value) == text
 

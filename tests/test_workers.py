@@ -188,7 +188,7 @@ def test_the_calling_process_formats_the_first_chunk_and_the_emitter_frames_the_
     (("--init", "0.5,0.5,0.5"), "error: "),
     (("--tol", "-1"), "tol must be positive, got -1.0"),
     (("--tol", "nan"), "tol must be positive, got nan"),
-    (("--max-steps", "0"), "max_steps and window must be >= 1"),
+    (("--max-steps", "0"), "max_steps must be >= 1, got 0"),
     (("--agreement-tol", "0"), "agreement_tol must be positive, got 0.0"),
 ])
 @pytest.mark.parametrize("simulate", [(), ("--simulate",)])
