@@ -34,7 +34,7 @@ from .core import (
 )
 
 BOUNDARY_TOL = 1e-12
-DEFAULT_WINDOW = 10
+WINDOW = 10
 # estimate_limit keeps a cycle checkpoint every _CYCLE_SPAN steps; a longer period is not skipped.
 _CYCLE_SPAN = 16
 
@@ -86,9 +86,9 @@ class ScenarioReport(NamedTuple):
 
 
 class LimitEstimate(NamedTuple):
-    """Terminal value of one coordinate under clamped iteration."""
+    """Terminal state of clamped iteration."""
 
-    value: float
+    state: SimplexPoint
     converged: bool
     steps_used: int
     terminal_delta: float
@@ -132,23 +132,20 @@ def classify(params, coordinate=0):
                                           contraction_factor(params)))
 
 
-def _check_limit_settings(tol, max_steps, window):
-    """``estimate_limit``'s checks of its stopping rule; returns ``max_steps`` and ``window``."""
+def _check_limit_settings(tol, max_steps):
+    """``estimate_limit``'s checks of its stopping rule; returns ``max_steps``."""
     if not tol > 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol!r}")
     max_steps = _count(max_steps, "max_steps")
-    window = _count(window, "window")
     if max_steps < 1:
         raise InvalidInputError(f"max_steps must be >= 1, got {max_steps}")
-    if window < 1:
-        raise InvalidInputError(f"window must be >= 1, got {window}")
-    return max_steps, window
+    return max_steps
 
 
-def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, window=DEFAULT_WINDOW):
-    """Empirical limit of one coordinate under clamped iteration.
+def estimate_limit(params, init, tol=1e-10, max_steps=10000):
+    """Empirical limit state under clamped iteration: ``state`` is the terminal ``SimplexPoint``.
 
-    Convergence is declared after ``window`` consecutive steps whose
+    Convergence is declared after ``WINDOW`` (10) consecutive steps whose
     sup-norm increment stays within ``tol``, or immediately at an exact
     fixed point (absorbing vertices included).  Exhausting ``max_steps``
     reports ``converged=False`` rather than raising.
@@ -167,8 +164,7 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
     ``16 + L`` steps of the orbit's first exact repeat.  A longer period
     is not skipped: it steps to ``max_steps``, with the same result.
     """
-    coordinate = _check_coordinate(coordinate)
-    max_steps, window = _check_limit_settings(tol, max_steps, window)
+    max_steps = _check_limit_settings(tol, max_steps)
     state = SimplexPoint.of(init)
     rows = build_regression_matrix(params)
     quiet = 0
@@ -185,8 +181,8 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
         a, b, c = x, y, z
         if delta <= tol:
             quiet += 1
-            if quiet >= window or delta == 0.0:
-                return LimitEstimate(state[coordinate], True, k, delta)
+            if quiet >= WINDOW or delta == 0.0:
+                return LimitEstimate(tuple.__new__(SimplexPoint, state), True, k, delta)
             last_quiet = k
         else:
             quiet = 0
@@ -196,7 +192,7 @@ def estimate_limit(params, init, coordinate=0, tol=1e-10, max_steps=10000, windo
         elif k % _CYCLE_SPAN == _CYCLE_SPAN - 1:
             saved = state
             at = k
-    return LimitEstimate(state[coordinate], False, max_steps, delta)
+    return LimitEstimate(tuple.__new__(SimplexPoint, state), False, max_steps, delta)
 
 
 class SweepRow(NamedTuple):
@@ -235,7 +231,7 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
     coordinate = _check_coordinate(coordinate)
     if not agreement_tol > 0.0:
         raise InvalidInputError(f"agreement_tol must be positive, got {agreement_tol!r}")
-    _check_limit_settings(tol, max_steps, DEFAULT_WINDOW)
+    _check_limit_settings(tol, max_steps)
     init = SimplexPoint.of(init)
     start = init[coordinate]
     rows = []
@@ -274,15 +270,14 @@ def sweep(cells, coordinate=0, init=SimplexPoint(1 / 3, 1 / 3, 1 / 3), simulate=
                 flags.append("unresolved_prediction")
             if simulate:
                 try:
-                    estimate = estimate_limit(params, init, coordinate, tol=tol,
-                                              max_steps=max_steps)
+                    estimate = estimate_limit(params, init, tol, max_steps)
                 except DegenerateClampError:
                     flags.append("degenerate_clamp")
                 except InvalidInputError:
                     # After the checks above, the only source: 2*v_n overflows in the matrix.
                     flags.append("matrix_overflow")
                 else:
-                    simulated = estimate.value
+                    simulated = estimate.state[coordinate]
                     if not estimate.converged:
                         flags.append("not_converged")
                     if predicted is not None:

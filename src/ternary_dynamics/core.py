@@ -392,7 +392,10 @@ def contraction_factor(params):
     (a, b), (c, d) = reduced_matrix(params)
     a, d = a + 1.0, d + 1.0
     tr = a + d
-    det = a * d - b * c
+    try:
+        det = a * d - b * c
+    except OverflowError:  # exact products that do not fit a double: the float values' result
+        return contraction_factor(tuple(map(float, params)))
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
         root = math.sqrt(disc)

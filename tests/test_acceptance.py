@@ -112,7 +112,7 @@ def test_04_attractive_scenario():
         init = SimplexPoint(0.5, 0.3, 0.2)
         states = trajectory(params, init, 60, mode="raw")
         assert abs(states[60].p0 - 1 / 3) <= 1e-8
-        estimate = estimate_limit(params, init, 0, tol=1e-10)
+        estimate = estimate_limit(params, init, tol=1e-10)
         assert estimate.converged
         assert sweep([params], 0, init, simulate=True)[0].agreement == "agree"
 
@@ -135,16 +135,16 @@ def test_06_dominant_and_degenerate_scenarios():
         init = SimplexPoint(0.5, 0.3, 0.2)
 
         dominant = DirectingParams(-0.1, 0.3, 0.2)
-        estimate = estimate_limit(dominant, init, 0, tol=1e-10, max_steps=10**4)
+        estimate = estimate_limit(dominant, init, tol=1e-10, max_steps=10**4)
         assert estimate.converged
-        assert abs(estimate.value - 1.0) <= 1e-6
+        assert abs(estimate.state[0] - 1.0) <= 1e-6
         assert classify(dominant, 0).scenario is Scenario.DOMINANT
         assert sweep([dominant], 0, init, simulate=True)[0].agreement == "agree"
 
         degenerate = DirectingParams(0.3, -0.1, 0.2)
-        estimate = estimate_limit(degenerate, init, 0, tol=1e-10, max_steps=10**4)
+        estimate = estimate_limit(degenerate, init, tol=1e-10, max_steps=10**4)
         assert estimate.converged
-        assert abs(estimate.value - 0.0) <= 1e-6
+        assert abs(estimate.state[0] - 0.0) <= 1e-6
         assert classify(degenerate, 0).scenario is Scenario.DEGENERATE
         assert sweep([degenerate], 0, init, simulate=True)[0].agreement == "agree"
 

@@ -30,7 +30,7 @@ from ternary_dynamics import (
     sweep,
 )
 from ternary_dynamics import cli
-from ternary_dynamics.classify import DEFAULT_WINDOW
+from ternary_dynamics.classify import WINDOW
 from ternary_dynamics.cli import _axis
 from ternary_dynamics.serialize import SWEEP_HEADER, write_table
 
@@ -414,29 +414,30 @@ def test_classify_matches_an_exact_rational_reference_within_a_derived_error_bou
 # --------------------------------------------------------- estimate_limit
 
 def test_estimate_limit_attractive():
-    est = estimate_limit(DirectingParams(*ATTRACTIVE), SimplexPoint(0.5, 0.3, 0.2), 0, tol=1e-10)
+    est = estimate_limit(DirectingParams(*ATTRACTIVE), SimplexPoint(0.5, 0.3, 0.2), tol=1e-10)
     assert est.converged
-    assert est.value == pytest.approx(1 / 3, abs=1e-8)
+    assert type(est.state) is SimplexPoint
+    assert est.state[0] == pytest.approx(1 / 3, abs=1e-8)
     assert est.terminal_delta <= 1e-10
 
 
 def test_estimate_limit_from_equilibrium_start():
     eq = compute_equilibrium(DirectingParams(0.5, 1.0, 1.0))
-    est = estimate_limit(eq.params, SimplexPoint(*eq.rho), 0, tol=1e-10)
+    est = estimate_limit(eq.params, SimplexPoint(*eq.rho), tol=1e-10)
     assert est.converged
-    assert est.value == pytest.approx(eq.rho0, abs=1e-12)
+    assert est.state[0] == pytest.approx(eq.rho0, abs=1e-12)
 
 
 def test_estimate_limit_repulsive_absorbs():
-    est = estimate_limit(DirectingParams(*REPULSIVE), SimplexPoint(0.5, 0.25, 0.25), 0)
+    est = estimate_limit(DirectingParams(*REPULSIVE), SimplexPoint(0.5, 0.25, 0.25))
     assert est.converged
-    assert est.value == 0.0
+    assert est.state[0] == 0.0
     assert est.terminal_delta == 0.0
 
 
 def test_estimate_limit_reports_non_convergence():
     est = estimate_limit(
-        DirectingParams(*ATTRACTIVE), SimplexPoint(0.5, 0.3, 0.2), 0, tol=1e-10, max_steps=5
+        DirectingParams(*ATTRACTIVE), SimplexPoint(0.5, 0.3, 0.2), tol=1e-10, max_steps=5
     )
     assert not est.converged
     assert est.steps_used == 5
@@ -446,11 +447,9 @@ def test_estimate_limit_validation():
     params = DirectingParams(*ATTRACTIVE)
     init = SimplexPoint(0.5, 0.3, 0.2)
     with pytest.raises(InvalidInputError, match="tol must be positive, got 0.0"):
-        estimate_limit(params, init, 0, tol=0.0)
+        estimate_limit(params, init, tol=0.0)
     with pytest.raises(InvalidInputError, match="max_steps must be >= 1, got 0"):
-        estimate_limit(params, init, 0, max_steps=0)
-    with pytest.raises(InvalidInputError, match="window must be >= 1, got 0"):
-        estimate_limit(params, init, 0, window=0)
+        estimate_limit(params, init, max_steps=0)
 
 
 # ------------------------------------------------- agreement of sweep rows
@@ -543,7 +542,7 @@ def test_an_inconsistent_vector_prediction_ends_at_a_vertex(cell, init):
       an ulp of 1): the exact map keeps ``p_i = p_j``, so no vertex of ``i`` or
       ``j`` is reached; it ends at the midpoint of their edge, for one;
     * one that ``estimate_limit`` does not follow to its limit: it does not
-      converge in ``max_steps``, or every step of its first ``window`` moves
+      converge in ``max_steps``, or every step of its first ``WINDOW`` moves
       by at most ``tol`` (with ``|v|`` near 1e-118 no step moves the start).
     """
     params = DirectingParams(*cell)
@@ -553,12 +552,12 @@ def test_an_inconsistent_vector_prediction_ends_at_a_vertex(cell, init):
         return
     if abs(sum(predicted) - 1.0) <= 1e-9:
         return
-    estimates = [estimate_limit(params, init, m) for m in range(3)]
-    if sorted(e.value for e in estimates) == [0.0, 0.0, 1.0]:
+    estimate = estimate_limit(params, init)
+    if sorted(estimate.state) == [0.0, 0.0, 1.0]:
         return
     symmetric = any(cell[i] == cell[j] and abs(init[i] - init[j]) <= 2.0 ** -52
                     for i, j in itertools.combinations(range(3), 2))
-    unsettled = not estimates[0].converged or estimates[0].steps_used <= DEFAULT_WINDOW
+    unsettled = not estimate.converged or estimate.steps_used <= WINDOW
     assert symmetric or unsettled
 
 

@@ -681,6 +681,17 @@ def test_contraction_factor_examples():
     assert contraction_factor(DirectingParams(1.0, 1.0, 1.0)) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [
+    (10**300, 10**300, -(10**300)),
+    (Fraction(10**300), Fraction(10**300), Fraction(-(10**300))),
+    (10**154, 10**154, -(10**154)),
+], ids=["int-1e300", "Fraction-1e300", "int-1e154"])
+def test_contraction_factor_of_exact_params_whose_products_overflow_is_the_float_result(params):
+    # each parameter fits a double, but the determinant's exact products do not
+    got, want = contraction_factor(params), contraction_factor(tuple(map(float, params)))
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 # ------------------------------------------------------- linear structure
 
 def test_step_is_linear_on_fluctuations():

@@ -44,5 +44,6 @@ def test_readme_library_quick_start_gives_what_its_comments_state(capsys):
     rho, agree, swept = capsys.readouterr().out.splitlines()
     assert ast.literal_eval(rho) == (1 / 3, 1 / 3, 1 / 3)
     assert namespace["report"].scenario is Scenario.ATTRACTIVE
+    assert max(abs(p - 1 / 3) for p in namespace["limit"]) <= 1e-6
     assert agree == "True"
     assert swept == "27 repulsive"

@@ -22,6 +22,7 @@ from ternary_dynamics import (
     InvalidInputError,
     LimitEstimate,
     SampleConfig,
+    SimplexPoint,
     classify,
 )
 from ternary_dynamics.serialize import DEVIATION_HEADER
@@ -111,8 +112,9 @@ def test_sample_config_copies_equal_the_original():
     (classify(DirectingParams(-0.5, -0.5, -0.5), 0),
      "ScenarioReport(coordinate=0, scenario=<Scenario.REPULSIVE: 'repulsive'>, "
      "rho_m=0.3333333333333333, v_m=-0.5, predicted_limit=None, contraction_factor=2.5)"),
-    (LimitEstimate(0.25, False, 10000, 0.5),
-     "LimitEstimate(value=0.25, converged=False, steps_used=10000, terminal_delta=0.5)"),
+    (LimitEstimate(SimplexPoint(0.25, 0.75, 0.0), False, 10000, 0.5),
+     "LimitEstimate(state=SimplexPoint(p0=0.25, p1=0.75, p2=0.0), converged=False, "
+     "steps_used=10000, terminal_delta=0.5)"),
     (SampleConfig(True, 2, 1, 2),
      "SampleConfig(sample_volume=1, replications=2, seed=1, steps=2)"),
     (EmpiricalTrajectory(0, 1, 3, (0.5, 0.3, 0.2), ((2, 0, 1), (3, 0, 0))),
