@@ -78,6 +78,8 @@ class ScenarioReport(NamedTuple):
         """Predicted limit given the coordinate's initial value."""
         if self.scenario is not Scenario.REPULSIVE:
             return self.predicted_limit
+        if not 0.0 <= initial_value <= 1.0:
+            raise InvalidInputError(f"initial value must lie in [0, 1], got {initial_value!r}")
         if abs(initial_value - self.rho_m) <= BOUNDARY_TOL:
             raise UnresolvedPredictionError(
                 f"initial value {initial_value!r} sits on the repulsive threshold {self.rho_m!r}"

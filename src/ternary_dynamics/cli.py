@@ -369,12 +369,10 @@ def _cmd_sweep(args):
 
 def _cmd_stochastic(args):
     params = _params_from(args)
-    cfg = SampleConfig(
-        sample_volume=args.n[0], replications=args.reps, seed=args.seed, steps=args.steps
-    )
+    cfg = SampleConfig(args.reps, args.seed, args.steps)
     if len(args.n) == 1:
         header = serialize.REPLICATION_HEADER
-        rows = serialize.replication_rows(run_replications(params, args.init, cfg))
+        rows = serialize.replication_rows(run_replications(params, args.init, args.n[0], cfg))
     else:
         header = serialize.DEVIATION_HEADER
         rows = lln_diagnostic(params, args.init, args.n, cfg)

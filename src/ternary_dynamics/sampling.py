@@ -47,13 +47,13 @@ from .core import (
 )
 
 
-def _sample_volume(n, what):
+def _sample_volume(n):
     """``n`` as an int in ``[1, 2**63)``: numpy draws take the volume as int64."""
-    n = _count(n, what)
+    n = _count(n, "sample volume")
     if n < 1:
-        raise InvalidInputError(f"{what} must be >= 1, got {n}")
+        raise InvalidInputError(f"sample volume must be >= 1, got {n}")
     if n >= 2**63:
-        raise InvalidInputError(f"{what} must be < 2**63, got {n}")
+        raise InvalidInputError(f"sample volume must be < 2**63, got {n}")
     return n
 
 
@@ -65,15 +65,13 @@ def _key_word(value, what):
     return value
 
 
-class SampleConfig(_Validated, namedtuple("SampleConfig", "sample_volume replications seed steps")):
-    """Settings for stochastic replication runs."""
+class SampleConfig(_Validated, namedtuple("SampleConfig", "replications seed steps")):
+    """Settings for stochastic replication runs; the sample volume is an argument of each run."""
 
     __slots__ = ()
 
-    def __new__(cls, sample_volume, replications, seed, steps):
-        values = (sample_volume, replications, seed, steps)
-        self = tuple.__new__(cls, map(_count, values, cls._fields))
-        _sample_volume(self.sample_volume, "sample_volume")
+    def __new__(cls, replications, seed, steps):
+        self = tuple.__new__(cls, map(_count, (replications, seed, steps), cls._fields))
         if self.replications < 1:
             raise InvalidInputError(f"replications must be >= 1, got {self.replications}")
         if self.steps < 0:
@@ -119,7 +117,7 @@ def replication_stream(seed, replication):
 
 def stochastic_step(params, freq, n, rng):
     """One stochastic stage: clamped target, then empirical frequencies of n draws."""
-    n = _sample_volume(n, "sample volume")
+    n = _sample_volume(n)
     c0, c1, c2 = rng.multinomial(n, step_clamped(params, freq)).tolist()
     return tuple.__new__(SimplexPoint, (c0 / n, c1 / n, c2 / n))
 
@@ -223,16 +221,16 @@ def _map_replications(rows, init, volumes, cfg, ref=None):
     return [list(chain.from_iterable(chunks[i:i + parts])) for i in range(0, len(chunks), parts)]
 
 
-def run_replications(params, init, cfg):
-    """Independent stochastic trajectories, one per replication.
+def run_replications(params, init, n, cfg):
+    """Independent stochastic trajectories at sample volume ``n``, one per replication.
 
-    Identical ``(params, init, cfg)`` reproduce bit-identical output, and
+    Identical ``(params, init, n, cfg)`` reproduce bit-identical output, and
     replication ``r`` depends only on ``(seed, r)``: not on how many
     replications run, nor on how many CPUs run them.  A failing step is
     re-raised with its replication and step attached.
     """
+    n = _sample_volume(n)
     init = SimplexPoint.of(init)
-    n = cfg.sample_volume
     [counts] = _map_replications(build_regression_matrix(params), init, [n], cfg)
     return tuple(
         EmpiricalTrajectory(replication=r, seed=cfg.seed, sample_volume=n, init=tuple(init),
@@ -260,7 +258,7 @@ def lln_diagnostic(params, init, volumes, cfg):
     """
     import statistics
 
-    volumes = [_sample_volume(n, "sample volume") for n in volumes]
+    volumes = [_sample_volume(n) for n in volumes]
     if not volumes:
         raise InvalidInputError("volumes must be nonempty")
     if any(b <= a for a, b in zip(volumes, volumes[1:])):

@@ -208,7 +208,7 @@ def test_09_lln_diagnostic():
     with criterion("law-of-large-numbers deviation shrinks with volume"):
         params = DirectingParams(0.1, 0.1, 0.1)
         init = SimplexPoint(0.5, 0.3, 0.2)
-        cfg = SampleConfig(sample_volume=100, replications=30, seed=42, steps=50)
+        cfg = SampleConfig(replications=30, seed=42, steps=50)
         rows = lln_diagnostic(params, init, [100, 10000], cfg)
         assert rows[1].median_max_deviation < rows[0].median_max_deviation
         rerun = lln_diagnostic(params, init, [100, 10000], cfg)

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,14 @@ def test_classify_repulsive():
     assert report.predicted_limit is None
     assert report.resolve_limit(0.5) == 0.0
     assert report.resolve_limit(0.95) == 1.0
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, -1.0, 2.0])
+def test_repulsive_resolve_limit_rejects_a_start_outside_the_unit_interval(start):
+    report = classify(DirectingParams(*REPULSIVE), 0)
+    message = rf"^initial value must lie in \[0, 1\], got {re.escape(repr(start))}$"
+    with pytest.raises(InvalidInputError, match=message):
+        report.resolve_limit(start)
 
 
 def test_classify_dominant():

@@ -136,8 +136,8 @@ def test_simulate_degenerate_clamp_exit_code(capsys, monkeypatch, tmp_path):
 
 def test_stochastic_degenerate_clamp_names_replication_and_step(capsys, monkeypatch):
     steps = 3
-    cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=steps)
-    trajs = run_replications(DirectingParams(0.1, 0.1, 0.1), (0.5, 0.3, 0.2), cfg)
+    cfg = SampleConfig(replications=2, seed=0, steps=steps)
+    trajs = run_replications(DirectingParams(0.1, 0.1, 0.1), (0.5, 0.3, 0.2), 10, cfg)
     # The failure is chosen by state, not by a count of calls: the replications
     # of a volume share the targets they compute.  Replication 1 steps from
     # this state at its step 2, and no stage before that steps from it.
@@ -153,7 +153,7 @@ def test_stochastic_degenerate_clamp_names_replication_and_step(capsys, monkeypa
     monkeypatch.setattr(ternary_dynamics.sampling, "_clamped_step", step)
     message = "replication 1, step 2: clamping removed all probability mass"
     with pytest.raises(DegenerateClampError) as info:
-        run_replications(DirectingParams(0.1, 0.1, 0.1), (0.5, 0.3, 0.2), cfg)
+        run_replications(DirectingParams(0.1, 0.1, 0.1), (0.5, 0.3, 0.2), 10, cfg)
     assert type(info.value) is DegenerateClampError
     assert str(info.value) == message
     code, out, err = run(capsys, "stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2",
@@ -562,6 +562,23 @@ def test_stochastic_volume_of_2_63_exits_2(capsys, volumes):
                          "--n", volumes, "--steps", "2")
     assert (code, out) == (2, "")
     assert "must be < 2**63, got 9223372036854775808" in err
+
+
+BAD_VOLUMES = {
+    "0": ">= 1, got 0",
+    "0,10": ">= 1, got 0",
+    "10,0": ">= 1, got 0",
+    "9223372036854775808": "< 2**63, got 9223372036854775808",
+    "10,9223372036854775808": "< 2**63, got 9223372036854775808",
+}
+
+
+@pytest.mark.parametrize("volumes, message", BAD_VOLUMES.items(), ids=BAD_VOLUMES)
+def test_every_bad_volume_gets_one_message(capsys, volumes, message):
+    # one volume goes to run_replications, several to lln_diagnostic: both check it alike
+    code, out, err = run(capsys, "stochastic", "--v", ATTRACTIVE, "--init", "0.5,0.3,0.2",
+                         "--n", volumes, "--steps", "2")
+    assert (code, out, err) == (2, "", f"error: sample volume must be {message}\n")
 
 
 def test_stochastic_empty_volume_list_is_a_usage_error(tmp_path, capsys):

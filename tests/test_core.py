@@ -211,8 +211,8 @@ ENTRIES = {
     "trajectory-clamped": lambda v, p: trajectory(v, p, 3, mode="clamped"),
     "estimate_limit": estimate_limit,
     "stochastic_step": lambda v, p: stochastic_step(v, p, 10, replication_stream(0, 0)),
-    "run_replications": lambda v, p: run_replications(v, p, SampleConfig(10, 2, 0, 3)),
-    "lln_diagnostic": lambda v, p: lln_diagnostic(v, p, [10], SampleConfig(10, 2, 0, 3)),
+    "run_replications": lambda v, p: run_replications(v, p, 10, SampleConfig(2, 0, 3)),
+    "lln_diagnostic": lambda v, p: lln_diagnostic(v, p, [10], SampleConfig(2, 0, 3)),
 }
 
 

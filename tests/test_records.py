@@ -4,7 +4,7 @@
 ``DeviationRow`` are plain ``NamedTuple``s; ``SampleConfig`` validates on
 every path that builds an instance.  ``reference_error`` restates its checks
 with the exact messages: each field is coerced with ``operator.index``, then
-the volume, replication count, step count and seed are range-checked.
+the replication count, step count and seed are range-checked.
 """
 
 import copy
@@ -27,8 +27,8 @@ from ternary_dynamics import (
 )
 from ternary_dynamics.serialize import DEVIATION_HEADER
 
-FIELDS = ("sample_volume", "replications", "seed", "steps")
-BASE = SampleConfig(3, 2, 1, 2)
+FIELDS = ("replications", "seed", "steps")
+BASE = SampleConfig(2, 1, 2)
 CLONES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
@@ -44,11 +44,7 @@ def reference_error(args):
             values.append(operator.index(value))
         except TypeError:
             return f"{name} must be an integer, got {value!r}"
-    n, reps, seed, steps = values
-    if n < 1:
-        return f"sample_volume must be >= 1, got {n}"
-    if n >= 2**63:
-        return f"sample_volume must be < 2**63, got {n}"
+    reps, seed, steps = values
     if reps < 1:
         return f"replications must be >= 1, got {reps}"
     if steps < 0:
@@ -81,7 +77,7 @@ field = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["3", None, 2.0]),
 )
-config_args = st.tuples(field, field, field, field)
+config_args = st.tuples(field, field, field)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -101,8 +97,8 @@ def test_sample_config_copies_equal_the_original():
     for clone in CLONES.values():
         twin = clone(BASE)
         assert type(twin) is SampleConfig
-        assert twin == BASE == (3, 2, 1, 2)
-        assert hash(twin) == hash((3, 2, 1, 2))
+        assert twin == BASE == (2, 1, 2)
+        assert hash(twin) == hash((2, 1, 2))
 
 
 @pytest.mark.parametrize("value, text", [
@@ -115,8 +111,8 @@ def test_sample_config_copies_equal_the_original():
     (LimitEstimate(SimplexPoint(0.25, 0.75, 0.0), False, 10000, 0.5),
      "LimitEstimate(state=SimplexPoint(p0=0.25, p1=0.75, p2=0.0), converged=False, "
      "steps_used=10000, terminal_delta=0.5)"),
-    (SampleConfig(True, 2, 1, 2),
-     "SampleConfig(sample_volume=1, replications=2, seed=1, steps=2)"),
+    (SampleConfig(2, True, 2),
+     "SampleConfig(replications=2, seed=1, steps=2)"),
     (EmpiricalTrajectory(0, 1, 3, (0.5, 0.3, 0.2), ((2, 0, 1), (3, 0, 0))),
      "EmpiricalTrajectory(replication=0, seed=1, sample_volume=3, init=(0.5, 0.3, 0.2), "
      "counts=((2, 0, 1), (3, 0, 0)))"),

@@ -51,19 +51,20 @@ INIT = SimplexPoint(0.5, 0.3, 0.2)
 
 
 def test_sample_config_validation():
-    SampleConfig(sample_volume=1, replications=1, seed=0, steps=0)
+    cfg = SampleConfig(replications=1, seed=0, steps=0)
+    assert run_replications(PARAMS, INIT, 1, cfg)[0].counts == ()
+    with pytest.raises(InvalidInputError, match=r"^sample volume must be >= 1, got 0$"):
+        run_replications(PARAMS, INIT, 0, cfg)
     with pytest.raises(InvalidInputError):
-        SampleConfig(sample_volume=0, replications=1, seed=0, steps=1)
+        SampleConfig(replications=0, seed=0, steps=1)
     with pytest.raises(InvalidInputError):
-        SampleConfig(sample_volume=10, replications=0, seed=0, steps=1)
+        SampleConfig(replications=1, seed=-1, steps=1)
     with pytest.raises(InvalidInputError):
-        SampleConfig(sample_volume=10, replications=1, seed=-1, steps=1)
+        SampleConfig(replications=1, seed=2**64, steps=1)
     with pytest.raises(InvalidInputError):
-        SampleConfig(sample_volume=10, replications=1, seed=2**64, steps=1)
+        SampleConfig(replications=1, seed=0, steps=-1)
     with pytest.raises(InvalidInputError):
-        SampleConfig(sample_volume=10, replications=1, seed=0, steps=-1)
-    with pytest.raises(InvalidInputError):
-        SampleConfig(sample_volume=10.5, replications=1, seed=0, steps=1)
+        run_replications(PARAMS, INIT, 10.5, cfg)
 
 
 # ------------------------------------------------------------ single steps
@@ -110,11 +111,12 @@ def test_stochastic_step_requires_positive_volume():
 def test_sample_volume_is_below_2_63():
     # numpy takes the volume of a multinomial draw as int64
     big = 2**63
-    with pytest.raises(InvalidInputError, match=rf"^sample_volume must be < 2\*\*63, got {big}$"):
-        SampleConfig(big, 1, 0, 1)
+    cfg = SampleConfig(1, 0, 1)
+    with pytest.raises(InvalidInputError, match=rf"^sample volume must be < 2\*\*63, got {big}$"):
+        run_replications(PARAMS, INIT, big, cfg)
     with pytest.raises(InvalidInputError, match=rf"^sample volume must be < 2\*\*63, got {big}$"):
         stochastic_step(PARAMS, INIT, big, replication_stream(0, 0))
-    assert SampleConfig(big - 1, 1, 0, 1).sample_volume == big - 1
+    assert run_replications(PARAMS, INIT, big - 1, cfg)[0].sample_volume == big - 1
     assert sum(stochastic_step(PARAMS, INIT, big - 1, replication_stream(0, 0))) == pytest.approx(1)
 
 
@@ -154,16 +156,16 @@ def test_replication_stream_accepts_the_whole_key_range():
 
 
 def test_run_replications_zero_steps():
-    cfg = SampleConfig(sample_volume=100, replications=3, seed=9, steps=0)
-    for traj in run_replications(PARAMS, INIT, cfg):
+    cfg = SampleConfig(replications=3, seed=9, steps=0)
+    for traj in run_replications(PARAMS, INIT, 100, cfg):
         assert traj.points == ((0.5, 0.3, 0.2),)
         assert traj.counts == ()
 
 
 def test_run_replications_deterministic_and_distinct():
-    cfg = SampleConfig(sample_volume=1000, replications=2, seed=42, steps=10)
-    first = run_replications(PARAMS, INIT, cfg)
-    second = run_replications(PARAMS, INIT, cfg)
+    cfg = SampleConfig(replications=2, seed=42, steps=10)
+    first = run_replications(PARAMS, INIT, 1000, cfg)
+    second = run_replications(PARAMS, INIT, 1000, cfg)
     assert first == second
     assert (emitted(write_table, "csv", REPLICATION_HEADER, replication_rows(first))
             == emitted(write_table, "csv", REPLICATION_HEADER, replication_rows(second)))
@@ -171,8 +173,8 @@ def test_run_replications_deterministic_and_distinct():
 
 
 def test_run_replications_counts_are_exact():
-    cfg = SampleConfig(sample_volume=137, replications=4, seed=5, steps=20)
-    for traj in run_replications(PARAMS, INIT, cfg):
+    cfg = SampleConfig(replications=4, seed=5, steps=20)
+    for traj in run_replications(PARAMS, INIT, 137, cfg):
         assert len(traj.counts) == 20
         for stage in traj.counts:
             assert sum(stage) == 137
@@ -184,10 +186,10 @@ def test_run_replications_counts_are_exact():
 def test_run_replications_independent_of_replication_count():
     # replication r draws from the (seed, r) Philox stream only, so it is the
     # same whether the run has r + 1 replications or more
-    cfg = SampleConfig(sample_volume=200, replications=6, seed=11, steps=15)
-    full = run_replications(PARAMS, INIT, cfg)
+    cfg = SampleConfig(replications=6, seed=11, steps=15)
+    full = run_replications(PARAMS, INIT, 200, cfg)
     for count in (1, 2, 5):
-        fewer = run_replications(PARAMS, INIT, cfg._replace(replications=count))
+        fewer = run_replications(PARAMS, INIT, 200, cfg._replace(replications=count))
         assert fewer == full[:count]
 
 
@@ -198,9 +200,9 @@ def test_seeds_above_2_63_key_distinct_streams(seed, other):
         warnings.simplefilter("error")
         draws = replication_stream(seed, 0).integers(0, 2**63, 8).tolist()
         other_draws = replication_stream(other, 0).integers(0, 2**63, 8).tolist()
-        cfg = SampleConfig(sample_volume=1000, replications=1, seed=seed, steps=5)
-        counts = run_replications(PARAMS, INIT, cfg)[0].counts
-        other_counts = run_replications(PARAMS, INIT, cfg._replace(seed=other))[0].counts
+        cfg = SampleConfig(replications=1, seed=seed, steps=5)
+        counts = run_replications(PARAMS, INIT, 1000, cfg)[0].counts
+        other_counts = run_replications(PARAMS, INIT, 1000, cfg._replace(seed=other))[0].counts
     assert draws != other_draws
     assert counts != other_counts
 
@@ -209,9 +211,8 @@ def test_seeds_above_2_63_key_distinct_streams(seed, other):
 # numpy integer at a time, the state kept as numpy quotients, and the
 # deviation taken point by point.
 
-def reference_run_replications(params, init, cfg):
+def reference_run_replications(params, init, n, cfg):
     rows = build_regression_matrix(params)
-    n = cfg.sample_volume
     trajectories = []
     for r in range(cfg.replications):
         rng = replication_stream(cfg.seed, r)
@@ -236,7 +237,7 @@ def reference_lln_diagnostic(params, init, volumes, cfg):
     reference = [(s.p0, s.p1, s.p2) for s in trajectory(params, init, cfg.steps, mode="clamped")]
     rows = []
     for n in volumes:
-        trajs = reference_run_replications(params, init, cfg._replace(sample_volume=n))
+        trajs = reference_run_replications(params, init, n, cfg)
         deviations = []
         for traj in trajs:
             worst = 0.0
@@ -268,9 +269,9 @@ IDENTITY_VOLUMES = [1, 7, 10, 10_000]
 @pytest.mark.parametrize("n", IDENTITY_VOLUMES)
 def test_run_replications_matches_reference_loop(case, seed, n):
     params, init = IDENTITY_CASES[case]
-    cfg = SampleConfig(sample_volume=n, replications=3, seed=seed, steps=25)
-    got = run_replications(params, init, cfg)
-    expected = reference_run_replications(params, init, cfg)
+    cfg = SampleConfig(replications=3, seed=seed, steps=25)
+    got = run_replications(params, init, n, cfg)
+    expected = reference_run_replications(params, init, n, cfg)
     assert repr(got) == repr(expected)
     assert all(type(c) is int for traj in got for stage in traj.counts for c in stage)
 
@@ -279,7 +280,7 @@ def test_run_replications_matches_reference_loop(case, seed, n):
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_lln_diagnostic_matches_reference_loop(case, seed):
     params, init = IDENTITY_CASES[case]
-    cfg = SampleConfig(sample_volume=1, replications=5, seed=seed, steps=25)
+    cfg = SampleConfig(replications=5, seed=seed, steps=25)
     got = lln_diagnostic(params, init, IDENTITY_VOLUMES, cfg)
     expected = reference_lln_diagnostic(params, init, IDENTITY_VOLUMES, cfg)
     assert repr(got) == repr(expected)
@@ -315,13 +316,13 @@ _unit = st.floats(-1.0, 1.0)
          volumes=[1, 10], replications=2, seed=0)
 def test_lln_diagnostic_matches_reference_loop_across_the_cube(params, init, steps, volumes,
                                                                replications, seed):
-    cfg = SampleConfig(sample_volume=1, replications=replications, seed=seed, steps=steps)
+    cfg = SampleConfig(replications=replications, seed=seed, steps=steps)
     assert (_outcome(lln_diagnostic, params, init, volumes, cfg)
             == _outcome(reference_lln_diagnostic, params, init, volumes, cfg))
 
 
-def _int_counted_replications(params, init, cfg):
-    trajs = run_replications(params, init, cfg)
+def _int_counted_replications(params, init, n, cfg):
+    trajs = run_replications(params, init, n, cfg)
     assert all(type(c) is int for traj in trajs for stage in traj.counts for c in stage)
     return trajs
 
@@ -341,9 +342,9 @@ def _int_counted_replications(params, init, cfg):
          n=30, replications=6, seed=2**64 - 1)
 def test_run_replications_matches_reference_loop_across_the_cube(params, init, steps, n,
                                                                  replications, seed):
-    cfg = SampleConfig(sample_volume=n, replications=replications, seed=seed, steps=steps)
-    assert (_outcome(_int_counted_replications, params, init, cfg)
-            == _outcome(reference_run_replications, params, init, cfg))
+    cfg = SampleConfig(replications=replications, seed=seed, steps=steps)
+    assert (_outcome(_int_counted_replications, params, init, n, cfg)
+            == _outcome(reference_run_replications, params, init, n, cfg))
 
 
 # ------------------------------------------------------- the target map
@@ -358,9 +359,9 @@ def test_run_replications_matches_reference_loop_across_the_cube(params, init, s
 def test_a_bounded_target_map_gives_the_reference_draws(monkeypatch, case, bound, n):
     monkeypatch.setattr(ternary_dynamics.sampling, "_TARGETS_MAX", bound)
     params, init = IDENTITY_CASES[case]
-    cfg = SampleConfig(sample_volume=n, replications=4, seed=11, steps=25)
-    assert repr(run_replications(params, init, cfg)) == repr(
-        reference_run_replications(params, init, cfg))
+    cfg = SampleConfig(replications=4, seed=11, steps=25)
+    assert repr(run_replications(params, init, n, cfg)) == repr(
+        reference_run_replications(params, init, n, cfg))
     assert repr(lln_diagnostic(params, init, [n], cfg)) == repr(
         reference_lln_diagnostic(params, init, [n], cfg))
 
@@ -378,12 +379,12 @@ def test_the_target_map_never_holds_more_than_its_bound(monkeypatch, bound):
         return counts
 
     monkeypatch.setattr(sampling, "_replicate", replicate)
-    cfg = SampleConfig(sample_volume=10**6, replications=4, seed=11, steps=25)
+    n, cfg = 10**6, SampleConfig(replications=4, seed=11, steps=25)
     got = sampling._run_chunk(build_regression_matrix(PARAMS), INIT, cfg.seed, cfg.steps, None,
-                              (cfg.sample_volume, 0, cfg.replications))
+                              (n, 0, cfg.replications))
     # at n = 10**6 nearly every stage is a new lattice state: the map fills in replication 0
     assert sizes == [bound] * cfg.replications
-    assert got == [list(t.counts) for t in reference_run_replications(PARAMS, INIT, cfg)]
+    assert got == [list(t.counts) for t in reference_run_replications(PARAMS, INIT, n, cfg)]
 
 
 # ---------------------------------------------------------- LLN diagnostic
@@ -392,13 +393,13 @@ def test_lln_diagnostic_recovers_deterministic_absorbing_path():
     # at an absorbing vertex every stage target is a unit vector: zero noise
     params = DirectingParams(-0.2, 0.5, -0.4)
     init = SimplexPoint(1.0, 0.0, 0.0)
-    cfg = SampleConfig(sample_volume=10, replications=5, seed=3, steps=10)
+    cfg = SampleConfig(replications=5, seed=3, steps=10)
     rows = lln_diagnostic(params, init, [10, 100, 1000], cfg)
     assert [r.median_max_deviation for r in rows] == [0.0, 0.0, 0.0]
 
 
 def test_lln_diagnostic_single_volume():
-    cfg = SampleConfig(sample_volume=100, replications=4, seed=3, steps=5)
+    cfg = SampleConfig(replications=4, seed=3, steps=5)
     rows = lln_diagnostic(PARAMS, INIT, [100], cfg)
     assert len(rows) == 1
     assert rows[0].sample_volume == 100
@@ -406,7 +407,7 @@ def test_lln_diagnostic_single_volume():
 
 
 def test_lln_diagnostic_median_shrinks_with_volume():
-    cfg = SampleConfig(sample_volume=100, replications=30, seed=42, steps=50)
+    cfg = SampleConfig(replications=30, seed=42, steps=50)
     rows = lln_diagnostic(PARAMS, INIT, [100, 1000, 10000], cfg)
     meds = [r.median_max_deviation for r in rows]
     assert meds[0] >= meds[1] >= meds[2]
@@ -415,10 +416,10 @@ def test_lln_diagnostic_median_shrinks_with_volume():
 
 def test_lln_diagnostic_matches_deterministic_reference():
     # deviations are measured against the clamped trajectory, stage 0 included
-    cfg = SampleConfig(sample_volume=50, replications=3, seed=8, steps=12)
+    cfg = SampleConfig(replications=3, seed=8, steps=12)
     rows = lln_diagnostic(PARAMS, INIT, [50], cfg)
     reference = trajectory(PARAMS, INIT, cfg.steps, mode="clamped")
-    trajs = run_replications(PARAMS, INIT, cfg)
+    trajs = run_replications(PARAMS, INIT, 50, cfg)
     expected = sorted(
         max(
             abs(a - b)
@@ -431,7 +432,7 @@ def test_lln_diagnostic_matches_deterministic_reference():
 
 
 def test_lln_diagnostic_volume_validation():
-    cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=2)
+    cfg = SampleConfig(replications=2, seed=0, steps=2)
     with pytest.raises(InvalidInputError):
         lln_diagnostic(PARAMS, INIT, [], cfg)
     with pytest.raises(InvalidInputError):
@@ -447,13 +448,13 @@ def test_lln_diagnostic_rejects_a_bad_volume_before_any_work(monkeypatch):
         raise AssertionError("replications ran before every volume was checked")
 
     monkeypatch.setattr(ternary_dynamics.sampling, "_replicate", fail)
-    cfg = SampleConfig(sample_volume=10, replications=2, seed=0, steps=2)
+    cfg = SampleConfig(replications=2, seed=0, steps=2)
     with pytest.raises(InvalidInputError, match=r"sample volume must be < 2\*\*63"):
         lln_diagnostic(PARAMS, INIT, [10, 2**63], cfg)
 
 
 def test_deviation_table_serialization_round():
-    cfg = SampleConfig(sample_volume=100, replications=3, seed=1, steps=5)
+    cfg = SampleConfig(replications=3, seed=1, steps=5)
     rows = lln_diagnostic(PARAMS, INIT, [10, 100], cfg)
     text = emitted(write_table, "csv", DEVIATION_HEADER, rows)
     lines = text.splitlines()
@@ -516,10 +517,10 @@ def _both_paths(monkeypatch, call, volumes, replications):
 def test_run_replications_in_workers_matches_in_process_and_reference(monkeypatch, case, seed,
                                                                        steps, replications):
     params, init = IDENTITY_CASES[case]
-    cfg = SampleConfig(sample_volume=10, replications=replications, seed=seed, steps=steps)
-    alone, pooled = _both_paths(monkeypatch, lambda: run_replications(params, init, cfg), 1,
+    cfg = SampleConfig(replications=replications, seed=seed, steps=steps)
+    alone, pooled = _both_paths(monkeypatch, lambda: run_replications(params, init, 10, cfg), 1,
                                  replications)
-    assert repr(pooled) == repr(alone) == repr(reference_run_replications(params, init, cfg))
+    assert repr(pooled) == repr(alone) == repr(reference_run_replications(params, init, 10, cfg))
 
 
 @pytest.mark.parametrize("case", IDENTITY_CASES)
@@ -531,7 +532,7 @@ def test_run_replications_in_workers_matches_in_process_and_reference(monkeypatc
 def test_lln_diagnostic_in_workers_matches_in_process_and_reference(monkeypatch, case, seed, steps,
                                                                     volumes, replications):
     params, init = IDENTITY_CASES[case]
-    cfg = SampleConfig(sample_volume=1, replications=replications, seed=seed, steps=steps)
+    cfg = SampleConfig(replications=replications, seed=seed, steps=steps)
     alone, pooled = _both_paths(monkeypatch, lambda: lln_diagnostic(params, init, volumes, cfg),
                                  len(volumes), replications)
     assert repr(pooled) == repr(alone) == repr(
@@ -550,7 +551,7 @@ def test_a_pooled_run_draws_its_first_chunk_here_and_every_other_chunk_in_a_work
         return real(*args)
 
     monkeypatch.setattr(ternary_dynamics.sampling, "_run_chunk", recording)
-    cfg = SampleConfig(sample_volume=1, replications=7, seed=3, steps=5)
+    cfg = SampleConfig(replications=7, seed=3, steps=5)
     assert lln_diagnostic(PARAMS, INIT, [10, 100], cfg) == reference_lln_diagnostic(
         PARAMS, INIT, [10, 100], cfg)
     assert pooled == [3]  # 6 chunks: the first here, a worker each for the next 3
@@ -569,8 +570,9 @@ def test_a_pooled_run_draws_its_first_chunk_here_and_every_other_chunk_in_a_work
 
 def test_a_one_chunk_run_stays_in_process(pooled):
     # one replication of one volume cannot be split, whatever the CPU count
-    cfg = SampleConfig(sample_volume=10, replications=1, seed=0, steps=5)
-    assert run_replications(PARAMS, INIT, cfg) == reference_run_replications(PARAMS, INIT, cfg)
+    cfg = SampleConfig(replications=1, seed=0, steps=5)
+    assert (run_replications(PARAMS, INIT, 10, cfg)
+            == reference_run_replications(PARAMS, INIT, 10, cfg))
     assert pooled == []
 
 
@@ -580,14 +582,14 @@ def test_a_process_with_another_thread_does_not_fork(pooled):
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        cfg = SampleConfig(sample_volume=10, replications=5, seed=0, steps=5)
-        got = run_replications(PARAMS, INIT, cfg)
+        cfg = SampleConfig(replications=5, seed=0, steps=5)
+        got = run_replications(PARAMS, INIT, 10, cfg)
     finally:
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
     assert pooled == []
-    assert got == reference_run_replications(PARAMS, INIT, cfg)
+    assert got == reference_run_replications(PARAMS, INIT, 10, cfg)
 
 
 def test_the_stage_threshold_is_measured_in_stages_of_the_whole_run(monkeypatch):
@@ -595,7 +597,7 @@ def test_the_stage_threshold_is_measured_in_stages_of_the_whole_run(monkeypatch)
     monkeypatch.setattr(ternary_dynamics._pool, "_usable_cpus", lambda: 3)
     started = _recording_pools(monkeypatch)
     # 7 replications x 5 steps x 2 volumes = 70 stages
-    cfg = SampleConfig(sample_volume=10, replications=7, seed=0, steps=5)
+    cfg = SampleConfig(replications=7, seed=0, steps=5)
     monkeypatch.setattr(sampling, "_POOL_MIN_STAGES", 71)
     lln_diagnostic(PARAMS, INIT, [10, 100], cfg)
     assert started == []
@@ -608,7 +610,7 @@ def test_the_stage_threshold_is_measured_in_stages_of_the_whole_run(monkeypatch)
 # Replications 2 and 5 of the (seed 5, n = 1000) run fail: 2 at its last step,
 # after a pause, and 5 at its second.  With 3 CPUs and 7 replications they
 # fall in different chunks, and replication 5's error reaches the caller first.
-FAIL_CFG = SampleConfig(sample_volume=1000, replications=7, seed=5, steps=6)
+FAIL_N, FAIL_CFG = 1000, SampleConfig(replications=7, seed=5, steps=6)
 FAIL_AT = {2: 6, 5: 2}
 FAIL_PAUSE_S = {2: 0.3, 5: 0.0}
 FAIL_MESSAGE = "replication 2, step 6: clamping removed all probability mass"
@@ -621,7 +623,7 @@ def failing_replications(monkeypatch):
     The failure is chosen by state, not by a count of calls, so it is the
     same in whichever process a replication runs.
     """
-    trajs = reference_run_replications(PARAMS, INIT, FAIL_CFG)
+    trajs = reference_run_replications(PARAMS, INIT, FAIL_N, FAIL_CFG)
     poisoned = {tuple(trajs[r].points[step - 1]): FAIL_PAUSE_S[r] for r, step in FAIL_AT.items()}
     # each poisoned state is reached by one replication only, and not before its step
     for traj in trajs:
@@ -644,7 +646,7 @@ def test_the_lowest_failing_replication_raises_in_workers_as_in_process(monkeypa
     def outcome():
         with pytest.raises(DegenerateClampError) as info:
             if len(volumes) == 1:
-                run_replications(PARAMS, INIT, FAIL_CFG)
+                run_replications(PARAMS, INIT, FAIL_N, FAIL_CFG)
             else:
                 lln_diagnostic(PARAMS, INIT, volumes, FAIL_CFG)
         return type(info.value), str(info.value)
@@ -668,14 +670,14 @@ def test_the_cli_exits_4_with_the_same_error_from_workers(monkeypatch, capsys, v
 
 # At n = 10 replications 4, 5 and 6 of the seed-4 run reach the lattice state
 # (3, 4, 3), first at steps 5, 4 and 4.  With 3 CPUs they share the last chunk.
-SHARED_CFG = SampleConfig(sample_volume=10, replications=7, seed=4, steps=6)
+SHARED_N, SHARED_CFG = 10, SampleConfig(replications=7, seed=4, steps=6)
 SHARED_COUNTS = (3, 4, 3)
 SHARED_FIRST_STEP = {4: 5, 5: 4, 6: 4}
 
 
 def test_a_failing_target_is_never_stored(monkeypatch):
     sampling = ternary_dynamics.sampling
-    trajs = reference_run_replications(PARAMS, INIT, SHARED_CFG)
+    trajs = reference_run_replications(PARAMS, INIT, SHARED_N, SHARED_CFG)
     reached = {}
     for traj in trajs:
         # stage k's counts are the state that step k + 1 starts from
@@ -683,7 +685,7 @@ def test_a_failing_target_is_never_stored(monkeypatch):
         if steps:
             reached[traj.replication] = steps[0]
     assert reached == SHARED_FIRST_STEP
-    n = SHARED_CFG.sample_volume
+    n = SHARED_N
     poisoned = tuple(c / n for c in SHARED_COUNTS)
     real_step = sampling._clamped_step
 
@@ -709,7 +711,7 @@ def test_a_failing_target_is_never_stored(monkeypatch):
 
     def outcome():
         with pytest.raises(DegenerateClampError) as info:
-            run_replications(PARAMS, INIT, SHARED_CFG)
+            run_replications(PARAMS, INIT, SHARED_N, SHARED_CFG)
         return str(info.value)
 
     alone, pooled = _both_paths(monkeypatch, outcome, 1, SHARED_CFG.replications)

@@ -143,8 +143,8 @@ def test_sweep_serialization_round_trip():
 def test_replications_and_deviation_serialization():
     params = DirectingParams(0.1, 0.1, 0.1)
     init = SimplexPoint(0.5, 0.3, 0.2)
-    cfg = SampleConfig(sample_volume=100, replications=2, seed=42, steps=4)
-    trajs = run_replications(params, init, cfg)
+    cfg = SampleConfig(replications=2, seed=42, steps=4)
+    trajs = run_replications(params, init, 100, cfg)
     text = emitted(serialize.write_table, "csv", serialize.REPLICATION_HEADER,
                    serialize.replication_rows(trajs))
     lines = text.splitlines()
@@ -346,9 +346,10 @@ def sweep_table():
 
 
 def replication_table():
-    cfg = SampleConfig(sample_volume=100, replications=3, seed=7, steps=200)
+    cfg = SampleConfig(replications=3, seed=7, steps=200)
     rows = list(serialize.replication_rows(
-        run_replications(DirectingParams(-0.2, 0.5, -0.4), SimplexPoint(0.5, 0.3, 0.2), cfg)))
+        run_replications(DirectingParams(-0.2, 0.5, -0.4), SimplexPoint(0.5, 0.3, 0.2), 100,
+                         cfg)))
     assert len(rows) == 603
     return rows
 

@@ -46,7 +46,7 @@ CALLS = {
     "step_clamped": lambda v: step_clamped(v, INIT),
     "stochastic_step": lambda v: stochastic_step(v, INIT, 1000, replication_stream(0, 0)),
     "estimate_limit": lambda v: estimate_limit(v, INIT),
-    "run_replications": lambda v: run_replications(v, INIT, SampleConfig(100, 2, 0, 20)),
+    "run_replications": lambda v: run_replications(v, INIT, 100, SampleConfig(2, 0, 20)),
 }
 
 
